@@ -89,13 +89,14 @@ impl LatencyHistogram {
 
     /// The value at quantile `q` in `[0, 1]`: the bucket midpoint at
     /// which the cumulative count first reaches `ceil(q * total)`
-    /// (exact max for `q = 1`).
+    /// (exact max for `q = 1`). An empty histogram has every quantile
+    /// at zero: a run that recorded nothing reports a zero-sample
+    /// summary instead of taking the reporter down.
     ///
     /// # Panics
     ///
-    /// Panics if the histogram is empty or `q` is outside `[0, 1]`.
+    /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Duration {
-        assert!(self.total > 0, "quantile of empty histogram");
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
         if q >= 1.0 {
             return Duration::from_nanos(self.max_ns);
@@ -212,8 +213,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_quantile_panics() {
-        LatencyHistogram::new().quantile(0.5);
+    fn empty_histogram_reports_a_zero_sample_summary() {
+        let h = LatencyHistogram::new();
+        for q in [0.0, 0.5, 0.999, 1.0] {
+            assert_eq!(h.quantile(q), Duration::ZERO);
+        }
+        assert_eq!(
+            h.tail_summary(),
+            TailSummary {
+                p50_us: 0.0,
+                p99_us: 0.0,
+                p999_us: 0.0,
+                samples: 0,
+            }
+        );
     }
 }

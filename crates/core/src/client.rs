@@ -160,6 +160,8 @@ impl<T: Transport<Msg>> RingClient<T> {
                 body: body.clone(),
             },
         )?;
+        // The caller may not touch the client again for a while.
+        self.ep.flush();
         let deadline = ring_net::clock::now() + self.opts.timeout;
         self.next_deadline = Some(match self.next_deadline {
             Some(d) => d.min(deadline),

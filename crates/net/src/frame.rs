@@ -21,7 +21,7 @@
 //! shared segments instead of copying them into the scratch buffer: the
 //! encode path of a 1 MiB put clones an `Arc`, not a megabyte.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use crate::{NetError, Payload};
 
@@ -119,20 +119,94 @@ pub fn parse_header(h: &[u8; FRAME_HEADER_LEN]) -> Result<(FrameKind, usize), Ne
     Ok((kind, len))
 }
 
-/// Reads one full frame from a stream.
+/// Initial (and steady-state) size of a [`FrameReader`]'s buffer: one
+/// `read` can carry this many bytes of back-to-back frames.
+pub const READ_BUF_LEN: usize = 64 << 10;
+
+/// The stream decoder: a buffer filled by one `read` at a time and
+/// parsed in place, so a burst of small frames costs one syscall and no
+/// per-frame allocation.
 ///
-/// # Errors
-///
-/// I/O errors propagate; a malformed header surfaces as
-/// [`io::ErrorKind::InvalidData`] wrapping the [`NetError`] message.
-pub fn read_frame(r: &mut impl Read) -> io::Result<(FrameKind, Vec<u8>)> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let (kind, len) = parse_header(&header)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok((kind, body))
+/// Call [`FrameReader::fill`], then [`FrameReader::next_frame`] until it
+/// returns `Ok(None)`; a partial frame at the tail is carried over to
+/// the next fill. A frame larger than the buffer grows it to exactly
+/// that frame (the header's length is already capped by
+/// [`MAX_FRAME_LEN`]); the buffer shrinks back once it drains.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Start of the unparsed bytes.
+    head: usize,
+    /// End of the bytes read so far.
+    tail: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> FrameReader {
+        FrameReader::new()
+    }
+}
+
+impl FrameReader {
+    /// A reader with an empty [`READ_BUF_LEN`]-byte buffer.
+    pub fn new() -> FrameReader {
+        FrameReader {
+            buf: vec![0; READ_BUF_LEN],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Appends the bytes of one `read` call to the buffer and returns
+    /// how many arrived (`0` is end of stream).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the reader's error, `Interrupted` included.
+    pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        // Only a partial frame can be left over; move it to the front.
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        let want = match self.buf[..self.tail].first_chunk() {
+            Some(h) => parse_header(h).map_or(0, |(_, len)| FRAME_HEADER_LEN + len),
+            None => 0,
+        };
+        if want > self.buf.len() {
+            self.buf.resize(want, 0);
+        } else if self.tail == 0 && self.buf.len() > READ_BUF_LEN {
+            self.buf.truncate(READ_BUF_LEN);
+            self.buf.shrink_to_fit();
+        }
+        debug_assert!(
+            self.tail < self.buf.len(),
+            "fill() before the buffer was parsed"
+        );
+        let n = r.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
+
+    /// The next complete frame in the buffer, or `None` when more bytes
+    /// are needed.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::BadFrame`] as soon as a full header is present and
+    /// invalid (see [`parse_header`]); the stream cannot be resynchronised
+    /// after that.
+    pub fn next_frame(&mut self) -> Result<Option<(FrameKind, &[u8])>, NetError> {
+        let Some(header) = self.buf[self.head..self.tail].first_chunk() else {
+            return Ok(None);
+        };
+        let (kind, len) = parse_header(header)?;
+        let body = self.head + FRAME_HEADER_LEN;
+        if self.tail - body < len {
+            return Ok(None);
+        }
+        self.head = body + len;
+        Ok(Some((kind, &self.buf[body..body + len])))
+    }
 }
 
 /// One encoded segment: either scratch bytes owned by the buffer or a
@@ -215,17 +289,31 @@ impl FrameBuf {
         self.segments.push(Segment::Shared(p.clone()));
     }
 
-    /// Streams `header + body` to `w`.
+    /// Writes `header + body` to `w` as one gathered write: a single
+    /// `write_vectored` call unless the writer accepts only part of it.
+    /// Payload segments are never copied here.
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
+    /// Propagates writer errors; a writer that accepts zero bytes is
+    /// [`io::ErrorKind::WriteZero`].
     pub fn write_to(&self, kind: FrameKind, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&pack_header(kind, self.len))?;
-        for seg in &self.segments {
-            match seg {
-                Segment::Owned(v) => w.write_all(v)?,
-                Segment::Shared(p) => w.write_all(p.as_slice())?,
+        let header = pack_header(kind, self.len);
+        let mut slices = Vec::with_capacity(1 + self.segments.len());
+        slices.push(IoSlice::new(&header));
+        slices.extend(self.segments.iter().map(|seg| {
+            IoSlice::new(match seg {
+                Segment::Owned(v) => v,
+                Segment::Shared(p) => p.as_slice(),
+            })
+        }));
+        let mut left = &mut slices[..];
+        while !left.is_empty() {
+            match w.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -432,6 +520,22 @@ mod tests {
         }
     }
 
+    /// Every frame a `FrameReader` yields from `bytes`, read whole.
+    fn frames(bytes: &[u8]) -> Result<Vec<(FrameKind, Vec<u8>)>, NetError> {
+        let mut rd = FrameReader::new();
+        let mut src = bytes;
+        let mut out = Vec::new();
+        loop {
+            let n = rd.fill(&mut src).expect("slice reads cannot fail");
+            while let Some((kind, body)) = rd.next_frame()? {
+                out.push((kind, body.to_vec()));
+            }
+            if n == 0 {
+                return Ok(out);
+            }
+        }
+    }
+
     #[test]
     fn write_to_emits_header_then_body() {
         let mut b = FrameBuf::new();
@@ -439,10 +543,33 @@ mod tests {
         let mut out = Vec::new();
         b.write_to(FrameKind::Hello, &mut out).unwrap();
         assert_eq!(out.len(), FRAME_HEADER_LEN + 4);
-        let mut cursor = std::io::Cursor::new(out);
-        let (kind, body) = read_frame(&mut cursor).unwrap();
-        assert_eq!(kind, FrameKind::Hello);
-        assert_eq!(body, 42u32.to_le_bytes());
+        assert_eq!(
+            frames(&out).unwrap(),
+            vec![(FrameKind::Hello, 42u32.to_le_bytes().to_vec())]
+        );
+    }
+
+    #[test]
+    fn reader_grows_for_a_large_frame_and_shrinks_back() {
+        let mut big = FrameBuf::new();
+        big.put_payload(&Payload::from(vec![7u8; 3 * READ_BUF_LEN]));
+        let mut small = FrameBuf::new();
+        small.put_u8(1);
+        let mut bytes = small.to_frame_bytes(FrameKind::App);
+        bytes.extend(big.to_frame_bytes(FrameKind::RdmaReadResp));
+        bytes.extend(small.to_frame_bytes(FrameKind::App));
+        let got = frames(&bytes).unwrap();
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[1].0, FrameKind::RdmaReadResp);
+        assert_eq!(got[1].1, vec![7u8; 3 * READ_BUF_LEN]);
+        assert_eq!(got[2], (FrameKind::App, vec![1]));
+
+        let mut rd = FrameReader::new();
+        let mut src = &bytes[..];
+        while rd.fill(&mut src).unwrap() > 0 {
+            while rd.next_frame().unwrap().is_some() {}
+        }
+        assert_eq!(rd.buf.len(), READ_BUF_LEN, "buffer shrinks once drained");
     }
 
     #[test]
@@ -459,15 +586,29 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_rejects_truncation() {
+    fn truncated_stream_yields_no_frame() {
         let mut b = FrameBuf::new();
         b.put_u64(5);
         let full = b.to_frame_bytes(FrameKind::App);
         for cut in 0..full.len() {
-            let mut cursor = std::io::Cursor::new(&full[..cut]);
-            assert!(read_frame(&mut cursor).is_err(), "prefix of {cut} bytes");
+            assert_eq!(
+                frames(&full[..cut]).unwrap(),
+                vec![],
+                "prefix of {cut} bytes"
+            );
         }
-        let mut cursor = std::io::Cursor::new(&full[..]);
-        assert!(read_frame(&mut cursor).is_ok());
+        assert_eq!(frames(&full).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn reader_rejects_a_bad_header_after_good_frames() {
+        let mut b = FrameBuf::new();
+        b.put_u64(5);
+        let mut bytes = b.to_frame_bytes(FrameKind::App);
+        bytes.extend_from_slice(b"XXXXXXXX");
+        let mut rd = FrameReader::new();
+        rd.fill(&mut &bytes[..]).unwrap();
+        assert!(matches!(rd.next_frame(), Ok(Some((FrameKind::App, _)))));
+        assert!(matches!(rd.next_frame(), Err(NetError::BadFrame(_))));
     }
 }

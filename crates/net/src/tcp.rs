@@ -22,20 +22,30 @@
 //!   bytes (not encoded frame sizes), so a fixed protocol script
 //!   produces identical counters on sim and TCP.
 //!
+//! - **Pay per batch, not per frame.** A `send` issued while the
+//!   endpoint's own mailbox still holds input is *corked*: its encoded
+//!   frame joins a per-peer buffer that goes out as one write when the
+//!   owner runs out of input (see [`TcpTransport::send`] for every flush
+//!   trigger and the bound). With nothing queued a send is written
+//!   through at once, so a lone request never waits. Each reader thread
+//!   parses every frame one `read` returned and hands the decoded
+//!   messages to the mailbox under one lock and one wake-up.
+//!
 //! Incoming application messages land in the same timestamp-ordered
 //! [`Mailbox`] the sim uses (with delivery due immediately), so recv
 //! ordering and timeout behaviour are shared code.
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::frame::{read_frame, Codec, FrameBuf, FrameKind, WireReader};
+use crate::frame::{Codec, FrameBuf, FrameKind, FrameReader, WireReader};
 use crate::mailbox::Mailbox;
 use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, WireSize};
 
@@ -70,6 +80,37 @@ enum RpcReply {
 
 type Writer = Arc<Mutex<TcpStream>>;
 
+/// Corked frames across all peers are flushed once they reach this
+/// count, however busy the owner is: a node whose mailbox never empties
+/// must still get its heartbeat to the leader, and send memory stays
+/// bounded.
+const CORK_MAX_FRAMES: usize = 64;
+/// Byte counterpart of [`CORK_MAX_FRAMES`].
+const CORK_MAX_BYTES: usize = 128 << 10;
+
+/// Encoded frames held back by corking, in send order per peer.
+#[derive(Default)]
+struct Corked {
+    bufs: BTreeMap<NodeId, Vec<u8>>,
+    frames: usize,
+    bytes: usize,
+}
+
+impl Corked {
+    fn push(&mut self, to: NodeId, body: &FrameBuf) {
+        let buf = self.bufs.entry(to).or_default();
+        let before = buf.len();
+        body.write_to(FrameKind::App, buf)
+            .expect("writing to a Vec cannot fail");
+        self.frames += 1;
+        self.bytes += buf.len() - before;
+    }
+
+    fn full(&self) -> bool {
+        self.frames >= CORK_MAX_FRAMES || self.bytes >= CORK_MAX_BYTES
+    }
+}
+
 struct Shared<M> {
     id: NodeId,
     codec: Arc<dyn Codec<M>>,
@@ -79,6 +120,9 @@ struct Shared<M> {
     /// Live writer halves, keyed by peer node id. Entries appear on
     /// outbound dial or inbound `Hello` and vanish on I/O error.
     conns: Mutex<BTreeMap<NodeId, Writer>>,
+    /// Frames held back by corking. Always taken out of the mutex
+    /// before any socket write: no guard is held across I/O.
+    corked: Mutex<Corked>,
     /// Every stream ever opened, kept so `close()` can unblock the
     /// blocking reader threads by shutting the sockets down.
     streams: Mutex<Vec<TcpStream>>,
@@ -97,6 +141,9 @@ pub struct TcpTransport<M> {
     peers: BTreeMap<NodeId, SocketAddr>,
     opts: TcpOptions,
     inner: Arc<Shared<M>>,
+    /// The accept thread and the address that reaches its listener;
+    /// taken (and joined) by the first `close()`.
+    accept: Mutex<Option<(SocketAddr, JoinHandle<()>)>>,
 }
 
 impl<M> std::fmt::Debug for TcpTransport<M> {
@@ -122,12 +169,19 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
     ) -> std::io::Result<TcpTransport<M>> {
         let t = TcpTransport::client(id, peers, codec, opts);
         let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::clone(&t.inner);
-        std::thread::Builder::new()
+        let handle = std::thread::Builder::new()
             .name(format!("ring-net-accept-{id}"))
             .spawn(move || accept_loop(shared, listener))
             .expect("spawn accept thread");
+        *t.accept.lock() = Some((wake, handle));
         Ok(t)
     }
 
@@ -149,12 +203,14 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
                 regions: RwLock::new(BTreeMap::new()),
                 stats: NetStats::default(),
                 conns: Mutex::new(BTreeMap::new()),
+                corked: Mutex::new(Corked::default()),
                 streams: Mutex::new(Vec::new()),
                 rpcs: Mutex::new(BTreeMap::new()),
                 rpc_cond: Condvar::new(),
                 next_rpc: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
             }),
+            accept: Mutex::new(None),
         }
     }
 
@@ -168,27 +224,22 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         &self.inner.stats
     }
 
+    /// Number of received messages not yet handed to the owner.
+    pub fn queued(&self) -> usize {
+        self.inner.mailbox.len()
+    }
+
     /// Shuts the endpoint down: wakes blocked receivers with
-    /// [`NetError::Closed`], stops the accept loop, and closes every
-    /// stream so reader threads exit.
+    /// [`NetError::Closed`], writes out corked frames, closes every
+    /// stream so reader threads exit, and stops the accept thread — the
+    /// listen port is free again when this returns.
     pub fn close(&self) {
-        self.inner.shutdown.store(true, AtomicOrdering::Release);
-        self.inner.mailbox.close();
-        self.inner.conns.lock().clear();
-        let streams = self.inner.streams.lock();
-        for s in streams.iter() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        drop(streams);
-        // Fail any RPC still waiting for a response.
-        let mut rpcs = self.inner.rpcs.lock();
-        for slot in rpcs.values_mut() {
-            if slot.is_none() {
-                *slot = Some(RpcReply::Malformed);
-            }
-        }
-        drop(rpcs);
-        self.inner.rpc_cond.notify_all();
+        self.shut_down();
+    }
+
+    /// Writes out every corked frame now (see [`TcpTransport::send`]).
+    pub fn flush(&self) {
+        self.inner.flush_corked();
     }
 
     /// The writer for `node`: an existing connection (inbound or
@@ -208,13 +259,7 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         // sends) back over this stream.
         let mut hello = FrameBuf::new();
         hello.put_u32(self.inner.id);
-        {
-            let mut w = writer.lock();
-            if hello.write_to(FrameKind::Hello, &mut *w).is_err() {
-                return None;
-            }
-            let _ = w.flush();
-        }
+        hello.write_to(FrameKind::Hello, &mut *writer.lock()).ok()?;
 
         let entry = {
             let mut conns = self.inner.conns.lock();
@@ -231,24 +276,21 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         Some(entry)
     }
 
-    fn write_frame(&self, node: NodeId, kind: FrameKind, body: &FrameBuf) -> bool {
-        let Some(writer) = self.writer_for(node) else {
-            return false;
-        };
-        let ok = {
-            let mut w = writer.lock();
-            body.write_to(kind, &mut *w)
-                .and_then(|()| w.flush())
-                .is_ok()
-        };
-        if !ok {
-            drop_conn(&self.inner, node, &writer);
-        }
-        ok
-    }
-
     /// Posts a message. Fire-and-forget: connection or write failures
     /// drop the message silently, exactly like the sim fabric.
+    ///
+    /// With this endpoint's mailbox empty and nothing corked, the frame
+    /// is written before `send` returns. While the mailbox still holds
+    /// undelivered input — its owner is inside a receive loop and will
+    /// be back — the encoded frame is *corked* in a per-peer buffer, so
+    /// an owner that drains k requests answers with one write per peer.
+    /// Corked frames are written out, oldest first per peer, by whichever
+    /// comes first: a `send` that finds the mailbox empty;
+    /// `recv_timeout`/`try_recv` finding nothing deliverable (before
+    /// blocking or returning `None`); [`TcpTransport::flush`]; any
+    /// one-sided verb; `close()` or drop; or the total across all peers
+    /// reaching 64 frames or 128 KiB. Counters are recorded here either
+    /// way.
     ///
     /// # Errors
     ///
@@ -260,7 +302,24 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         self.inner.stats.record_send(msg.wire_size());
         let mut body = FrameBuf::new();
         self.inner.codec.encode(&msg, &mut body);
-        self.write_frame(to, FrameKind::App, &body);
+        // Dial now: flushing never does, so that `close()` and drop can.
+        let Some(writer) = self.writer_for(to) else {
+            return Ok(());
+        };
+        let idle = self.queued() == 0;
+        let mut corked = self.inner.corked.lock();
+        if idle && corked.frames == 0 {
+            drop(corked);
+            self.inner
+                .write(to, &writer, |s| body.write_to(FrameKind::App, s));
+            return Ok(());
+        }
+        corked.push(to, &body);
+        if idle || corked.full() {
+            let due = std::mem::take(&mut *corked);
+            drop(corked);
+            self.inner.write_corked(due);
+        }
         Ok(())
     }
 
@@ -271,11 +330,17 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         kind: FrameKind,
         build: impl FnOnce(u64, &mut FrameBuf),
     ) -> Option<RpcReply> {
+        // App frames corked for `node` must not fall behind this request,
+        // and this thread is about to block for the reply.
+        self.inner.flush_corked();
         let rpc = self.inner.next_rpc.fetch_add(1, AtomicOrdering::AcqRel);
         let mut body = FrameBuf::new();
         build(rpc, &mut body);
         self.inner.rpcs.lock().insert(rpc, None);
-        if !self.write_frame(node, kind, &body) {
+        let sent = self
+            .writer_for(node)
+            .is_some_and(|w| self.inner.write(node, &w, |s| body.write_to(kind, s)));
+        if !sent {
             self.inner.rpcs.lock().remove(&rpc);
             return None;
         }
@@ -404,11 +469,73 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
 
 impl<M> Drop for TcpTransport<M> {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, AtomicOrdering::Release);
-        self.inner.mailbox.close();
-        let streams = self.inner.streams.lock();
+        self.shut_down();
+    }
+}
+
+impl<M> TcpTransport<M> {
+    /// The body of `close()` and drop; idempotent.
+    fn shut_down(&self) {
+        let shared = &self.inner;
+        shared.shutdown.store(true, AtomicOrdering::Release);
+        shared.mailbox.close();
+        shared.flush_corked();
+        shared.conns.lock().clear();
+        let streams = shared.streams.lock();
         for s in streams.iter() {
             let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+        drop(streams);
+        // Fail any RPC still waiting for a response.
+        let mut rpcs = shared.rpcs.lock();
+        for slot in rpcs.values_mut() {
+            if slot.is_none() {
+                *slot = Some(RpcReply::Malformed);
+            }
+        }
+        drop(rpcs);
+        shared.rpc_cond.notify_all();
+        // The accept thread blocks in `accept()`: a throw-away connection
+        // makes it look at the shutdown flag. Join only if that connection
+        // was made, so a listener that cannot be reached cannot hang us.
+        let accept = self.accept.lock().take();
+        if let Some((addr, handle)) = accept {
+            if TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok() {
+                let _ = handle.join();
+            }
+        }
+    }
+}
+
+impl<M> Shared<M> {
+    /// Runs `f` on `node`'s stream under its writer lock. A failed write
+    /// drops the connection; the frames are lost (fire-and-forget).
+    fn write(
+        &self,
+        node: NodeId,
+        writer: &Writer,
+        f: impl FnOnce(&mut TcpStream) -> io::Result<()>,
+    ) -> bool {
+        let ok = f(&mut writer.lock()).is_ok();
+        if !ok {
+            drop_conn(self, node, writer);
+        }
+        ok
+    }
+
+    fn flush_corked(&self) {
+        let due = std::mem::take(&mut *self.corked.lock());
+        self.write_corked(due);
+    }
+
+    /// One write per peer. Never dials: a peer whose connection has gone
+    /// since `send` loses its frames, as it would have on a failed write.
+    fn write_corked(&self, due: Corked) {
+        for (node, buf) in due.bufs {
+            let writer = self.conns.lock().get(&node).cloned();
+            if let Some(writer) = writer {
+                self.write(node, &writer, |s| s.write_all(&buf));
+            }
         }
     }
 }
@@ -433,8 +560,20 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
         Ok(())
     }
 
+    fn flush(&self) {
+        TcpTransport::flush(self);
+    }
+
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), NetError> {
-        let r = self.inner.mailbox.recv(Some(timeout));
+        // Out of input: release what was corked before going to sleep.
+        let r = match self.inner.mailbox.try_recv() {
+            Ok(Some(m)) => Ok(m),
+            Ok(None) => {
+                self.inner.flush_corked();
+                self.inner.mailbox.recv(Some(timeout))
+            }
+            Err(e) => Err(e),
+        };
         if let Ok((_, msg)) = &r {
             self.inner.stats.record_recv(msg.wire_size());
         }
@@ -443,8 +582,10 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
 
     fn try_recv(&self) -> Result<Option<(NodeId, M)>, NetError> {
         let r = self.inner.mailbox.try_recv();
-        if let Ok(Some((_, msg))) = &r {
-            self.inner.stats.record_recv(msg.wire_size());
+        match &r {
+            Ok(Some((_, msg))) => self.inner.stats.record_recv(msg.wire_size()),
+            Ok(None) => self.inner.flush_corked(),
+            Err(_) => {}
         }
         r
     }
@@ -492,18 +633,19 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
     }
 }
 
-/// Accepts inbound connections until shutdown. Nonblocking accept with
-/// a short sleep keeps the thread responsive to `close()` without read
-/// timeouts that could desynchronise mid-frame.
+/// Accepts inbound connections until shutdown. Blocks in `accept()` —
+/// an idle endpoint costs no wake-ups — and is woken by the connection
+/// `close()` makes to its own listener.
 fn accept_loop<M: Send + WireSize + Clone + 'static>(
     shared: Arc<Shared<M>>,
     listener: TcpListener,
 ) {
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(AtomicOrdering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 let Ok(reader) = stream.try_clone() else {
@@ -519,9 +661,7 @@ fn accept_loop<M: Send + WireSize + Clone + 'static>(
                     .spawn(move || reader_loop(shared2, reader, writer, None))
                     .expect("spawn reader thread");
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }
@@ -537,46 +677,62 @@ fn drop_conn<M>(shared: &Shared<M>, node: NodeId, writer: &Writer) {
 
 /// Per-stream reader: dispatches frames until error, EOF, or shutdown.
 /// `peer` is known for outbound streams and learned from `Hello` on
-/// inbound ones.
+/// inbound ones. Every frame of one `read` is handled before the next;
+/// the application messages among them reach the mailbox as one batch.
 fn reader_loop<M: Send + WireSize + Clone + 'static>(
     shared: Arc<Shared<M>>,
     mut stream: TcpStream,
     writer: Writer,
     mut peer: Option<NodeId>,
 ) {
-    loop {
-        if shared.shutdown.load(AtomicOrdering::Acquire) {
-            return;
+    let mut frames = FrameReader::new();
+    let mut batch = Vec::new();
+    let mut healthy = true;
+    while healthy && !shared.shutdown.load(AtomicOrdering::Acquire) {
+        match frames.fill(&mut stream) {
+            Ok(0) => healthy = false,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => healthy = false,
         }
-        let (kind, body) = match read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(_) => {
-                if let Some(p) = peer {
-                    drop_conn(&shared, p, &writer);
+        loop {
+            let (kind, body) = match frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => {
+                    healthy = false;
+                    break;
                 }
-                return;
-            }
-        };
-        match kind {
-            FrameKind::Hello => {
-                let mut r = WireReader::new(&body);
-                if let Ok(id) = r.u32() {
-                    shared.conns.lock().insert(id, Arc::clone(&writer));
-                    peer = Some(id);
-                }
-            }
-            FrameKind::App => {
-                if let Some(p) = peer {
-                    if let Ok(msg) = shared.codec.decode(&body) {
-                        shared.mailbox.push(p, msg, crate::clock::now());
+            };
+            match kind {
+                FrameKind::Hello => {
+                    let mut r = WireReader::new(body);
+                    if let Ok(id) = r.u32() {
+                        shared.conns.lock().insert(id, Arc::clone(&writer));
+                        peer = Some(id);
                     }
                 }
+                FrameKind::App => {
+                    if let Some(p) = peer {
+                        if let Ok(msg) = shared.codec.decode(body) {
+                            batch.push((p, msg));
+                        }
+                    }
+                }
+                FrameKind::RdmaReadReq => serve_read(&shared, body, &writer),
+                FrameKind::RdmaWriteReq => serve_write(&shared, body, &writer),
+                FrameKind::RdmaReadResp => complete_rpc(&shared, true, body),
+                FrameKind::RdmaWriteResp => complete_rpc(&shared, false, body),
             }
-            FrameKind::RdmaReadReq => serve_read(&shared, &body, &writer),
-            FrameKind::RdmaWriteReq => serve_write(&shared, &body, &writer),
-            FrameKind::RdmaReadResp => complete_rpc(&shared, true, &body),
-            FrameKind::RdmaWriteResp => complete_rpc(&shared, false, &body),
         }
+        if !batch.is_empty() {
+            shared
+                .mailbox
+                .push_batch(batch.drain(..), crate::clock::now());
+        }
+    }
+    if let Some(p) = peer {
+        drop_conn(&shared, p, &writer);
     }
 }
 
@@ -625,10 +781,7 @@ fn serve_read<M>(shared: &Shared<M>, body: &[u8], writer: &Writer) {
             }
         },
     }
-    let mut w = writer.lock();
-    let _ = resp
-        .write_to(FrameKind::RdmaReadResp, &mut *w)
-        .and_then(|()| w.flush());
+    let _ = resp.write_to(FrameKind::RdmaReadResp, &mut *writer.lock());
 }
 
 /// Services a one-sided write directly on the reader thread.
@@ -653,10 +806,7 @@ fn serve_write<M>(shared: &Shared<M>, body: &[u8], writer: &Writer) {
             }
         },
     }
-    let mut w = writer.lock();
-    let _ = resp
-        .write_to(FrameKind::RdmaWriteResp, &mut *w)
-        .and_then(|()| w.flush());
+    let _ = resp.write_to(FrameKind::RdmaWriteResp, &mut *writer.lock());
 }
 
 /// Parses a one-sided response and wakes the waiting requester.

@@ -47,6 +47,15 @@ pub trait Transport<M>: Send {
     /// id that never existed).
     fn send(&self, to: NodeId, msg: M) -> Result<(), NetError>;
 
+    /// Puts every message accepted by [`Transport::send`] so far on the
+    /// wire. A backend may hold a sent message back while its owner
+    /// still has input queued (the TCP backend's corking) and releases
+    /// it on its own once the owner next receives with nothing
+    /// deliverable; call this when a message must leave now and the
+    /// next receive may be far off. The simulated fabric delivers in
+    /// `send` itself, hence the default.
+    fn flush(&self) {}
+
     /// Sends the same message to several nodes (the client's multicast
     /// re-send path).
     ///

@@ -8,58 +8,30 @@
 //! own overhead to the counters, the bench's sim-vs-TCP comparison
 //! becomes meaningless; this is the tripwire.
 
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
-use ring_net::{
-    Codec, Fabric, FrameBuf, LatencyModel, MemoryRegion, NetError, NetStatsSnapshot, NodeId,
-    Payload, TcpOptions, TcpTransport, Transport, WireReader, WireSize,
-};
-
-/// Minimal protocol message: a tag plus an opaque body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct TestMsg {
-    tag: u64,
-    body: Vec<u8>,
-}
-
-impl WireSize for TestMsg {
-    fn wire_size(&self) -> usize {
-        8 + self.body.len()
-    }
-}
-
-/// Frame codec for [`TestMsg`] (the TCP backend needs one; the fabric
-/// moves messages in-process and never serialises).
-struct TestCodec;
-
-impl Codec<TestMsg> for TestCodec {
-    fn encode(&self, msg: &TestMsg, out: &mut FrameBuf) {
-        out.put_u64(msg.tag);
-        out.put_u32(msg.body.len() as u32);
-        out.put_payload(&Payload::from(msg.body.clone()));
-    }
-
-    fn decode(&self, body: &[u8]) -> Result<TestMsg, NetError> {
-        let mut rd = WireReader::new(body);
-        let tag = rd.u64()?;
-        let len = rd.u32()? as usize;
-        let bytes = rd.bytes(len)?.to_vec();
-        rd.finish()?;
-        Ok(TestMsg { tag, body: bytes })
-    }
-}
+use common::{tcp_endpoints, wait_until, TestMsg};
+use ring_net::{Fabric, LatencyModel, MemoryRegion, NetError, NetStatsSnapshot, NodeId, Transport};
 
 const NODE_A: NodeId = 0;
 const NODE_B: NodeId = 1;
 const REGION: u64 = 7;
 
-/// The fixed script, written against the [`Transport`] trait only.
+/// The fixed script, written against the [`Transport`] trait only —
+/// plus `queued`, each backend's count of undelivered messages, and
+/// `corks`: whether the backend holds back a send made while the
+/// sender's own mailbox is non-empty (TCP does, the fabric delivers
+/// inside `send`).
 ///
 /// Returns the `(a, b)` snapshots after all traffic has settled.
-fn run_script<T: Transport<TestMsg>>(a: &T, b: &T) -> (NetStatsSnapshot, NetStatsSnapshot) {
+fn run_script<T: Transport<TestMsg>>(
+    a: &T,
+    b: &T,
+    queued: impl Fn(&T) -> usize,
+    corks: bool,
+) -> (NetStatsSnapshot, NetStatsSnapshot) {
     // B exposes a 1 KiB region for one-sided access.
     b.register_region(REGION, MemoryRegion::from_vec(vec![0xA5; 1024]));
 
@@ -101,6 +73,39 @@ fn run_script<T: Transport<TestMsg>>(a: &T, b: &T) -> (NetStatsSnapshot, NetStat
     let (_, m) = b.recv_timeout(Duration::from_secs(5)).expect("b recv mc");
     assert_eq!(m.tag, 101);
 
+    // A sends with a backlog of its own: TCP corks these four and
+    // releases them when A runs out of input. The counters must not
+    // notice — they are taken at `send`.
+    for i in 0..3u64 {
+        b.send(NODE_A, TestMsg::tagged(200 + i)).expect("backlog");
+    }
+    wait_until("A's backlog", || queued(a) == 3);
+    for i in 0..4u64 {
+        a.send(
+            NODE_B,
+            TestMsg {
+                tag: 300 + i,
+                body: vec![3; 5 + i as usize],
+            },
+        )
+        .expect("send over backlog");
+    }
+    let early = b.recv_timeout(Duration::from_millis(100));
+    assert_eq!(
+        early.as_ref().err(),
+        corks.then_some(&NetError::Timeout),
+        "corking engaged exactly on the backend that has it"
+    );
+    for i in 0..3u64 {
+        let (_, m) = a.recv_timeout(Duration::from_secs(5)).expect("a backlog");
+        assert_eq!(m.tag, 200 + i);
+    }
+    assert_eq!(a.try_recv().expect("a open"), None); // out of input: release
+    for i in early.is_ok() as u64..4 {
+        let (_, m) = b.recv_timeout(Duration::from_secs(5)).expect("b corked");
+        assert_eq!(m.tag, 300 + i, "corked frames keep their order");
+    }
+
     // One-sided traffic: reads (exact and padded) and a write.
     let bytes = a.rdma_read(NODE_B, REGION, 16, 64).expect("rdma read");
     assert_eq!(bytes, vec![0xA5; 64]);
@@ -127,33 +132,12 @@ fn run_on_fabric() -> (NetStatsSnapshot, NetStatsSnapshot) {
     let fabric = Fabric::<TestMsg>::new(LatencyModel::instant());
     let a = fabric.register(NODE_A).expect("register a");
     let b = fabric.register(NODE_B).expect("register b");
-    run_script(&a, &b)
+    run_script(&a, &b, |t| t.queued(), false)
 }
 
 fn run_on_tcp() -> (NetStatsSnapshot, NetStatsSnapshot) {
-    let addr_a = alloc_port();
-    let addr_b = alloc_port();
-    let peers: BTreeMap<NodeId, SocketAddr> =
-        [(NODE_A, addr_a), (NODE_B, addr_b)].into_iter().collect();
-    let codec: Arc<dyn Codec<TestMsg>> = Arc::new(TestCodec);
-    let a = TcpTransport::bind(
-        NODE_A,
-        addr_a,
-        peers.clone(),
-        Arc::clone(&codec),
-        TcpOptions::default(),
-    )
-    .expect("bind a");
-    let b =
-        TcpTransport::bind(NODE_B, addr_b, peers, codec, TcpOptions::default()).expect("bind b");
-    run_script(&a, &b)
-}
-
-fn alloc_port() -> SocketAddr {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("bind ephemeral")
-        .local_addr()
-        .expect("local addr")
+    let eps = tcp_endpoints(2);
+    run_script(&eps[0], &eps[1], |t| t.queued(), true)
 }
 
 #[test]
@@ -171,13 +155,15 @@ fn sim_and_tcp_backends_report_identical_counters() {
 fn script_counters_match_hand_computation() {
     let (a, b) = run_on_fabric();
 
-    // A sent 5 unicasts (8 + 16i bytes) + 1 multicast to one peer (17).
+    // A sent 5 unicasts (8 + 16i bytes) + 1 multicast to one peer (17)
+    // + 4 over its backlog (8 + 5 + i).
     let unicast_bytes: u64 = (0..5).map(|i| 8 + 16 * i).sum();
-    assert_eq!(a.msgs_sent, 6);
-    assert_eq!(a.bytes_sent, unicast_bytes + 17);
-    // A received B's one reply (8 + 33).
-    assert_eq!(a.msgs_received, 1);
-    assert_eq!(a.bytes_received, 41);
+    let over_backlog: u64 = (0..4).map(|i| 13 + i).sum();
+    assert_eq!(a.msgs_sent, 10);
+    assert_eq!(a.bytes_sent, unicast_bytes + 17 + over_backlog);
+    // A received B's one reply (8 + 33) and the 3 backlog messages (8).
+    assert_eq!(a.msgs_received, 4);
+    assert_eq!(a.bytes_received, 41 + 24);
     assert_eq!(a.retransmits, 2);
     // A issued 3 reads (64 + 48 + 4 bytes) and 1 write (100 bytes).
     assert_eq!(a.rdma_reads, 3);
@@ -187,10 +173,10 @@ fn script_counters_match_hand_computation() {
 
     // B's view mirrors it; one-sided ops never touch B's counters
     // (the target CPU is not involved — that is the point of RDMA).
-    assert_eq!(b.msgs_sent, 1);
-    assert_eq!(b.bytes_sent, 41);
-    assert_eq!(b.msgs_received, 6);
-    assert_eq!(b.bytes_received, unicast_bytes + 17);
+    assert_eq!(b.msgs_sent, 4);
+    assert_eq!(b.bytes_sent, 41 + 24);
+    assert_eq!(b.msgs_received, 10);
+    assert_eq!(b.bytes_received, unicast_bytes + 17 + over_backlog);
     assert_eq!(b.retransmits, 0);
     assert_eq!(b.rdma_reads, 0);
     assert_eq!(b.rdma_writes, 0);

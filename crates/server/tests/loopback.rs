@@ -170,11 +170,39 @@ fn sigterm_drains_and_flushes_json_stats() {
             .unwrap_or_else(|e| panic!("put {key}: {e:?}"));
     }
 
-    // Gracefully stop a redundant node (id s+d-1 = 2 by default).
+    // Keep a window of pipelined puts in flight, so that every server
+    // sends with input still queued and corks its acks and replies, and
+    // gracefully stop a redundant node (id s+d-1 = 2 by default) in the
+    // middle of it. What node 2 had corked when it left its loop goes
+    // out when its transport closes; nothing acknowledged may be lost
+    // and nothing in flight may be stranded for good.
+    let value = |key: u64| format!("burst-{key}").into_bytes();
+    let mut issued = std::collections::BTreeMap::new();
+    for key in 100..356u64 {
+        let req = client.put_nb(key, &value(key), None).expect("put_nb");
+        issued.insert(req, key);
+    }
     let report = cluster
         .stop_node(2, Duration::from_secs(5))
         .expect("stop node 2");
     assert!(report.clean_exit, "stderr: {}", report.stderr);
+    let mut done = client.poll();
+    done.extend(client.drain());
+    assert_eq!(done.len(), issued.len(), "every put completes, once");
+    for (req, outcome) in done {
+        let key = issued[&req];
+        if outcome.is_err() {
+            // In flight across the failover: the spare takes node 2's
+            // role and the retry lands on the new configuration.
+            retry(Duration::from_secs(20), || client.put(key, &value(key)))
+                .unwrap_or_else(|e| panic!("put {key} after the stop: {e:?}"));
+        }
+    }
+    for &key in issued.values() {
+        let got = retry(Duration::from_secs(20), || client.get(key))
+            .unwrap_or_else(|e| panic!("key {key} lost across the drain: {e:?}"));
+        assert_eq!(got, value(key));
+    }
     let line = report.stderr.trim();
     let json =
         serde_json::from_str(line).unwrap_or_else(|e| panic!("stats not JSON ({e:?}): {line}"));
