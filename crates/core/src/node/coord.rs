@@ -93,7 +93,7 @@ impl<T: Transport<Msg>> Node<T> {
     /// window, so every later delivery of the same `(client, req)`
     /// (duplicate or client retry after a lost response) must observe
     /// that same answer rather than execute again.
-    fn respond(&mut self, to: NodeId, req: ReqId, body: ClientResp) {
+    pub(super) fn respond(&mut self, to: NodeId, req: ReqId, body: ClientResp) {
         steps::settle_dedup(
             &mut self.dedup,
             &mut self.dedup_order,
@@ -102,6 +102,16 @@ impl<T: Transport<Msg>> Node<T> {
             DEDUP_CAP,
         );
         let _ = self.ep.send(to, Msg::Response { req, body });
+    }
+
+    /// Answers `client` with `KeyNotFound`: the key was never written,
+    /// its latest version is a tombstone, or its memgest is gone.
+    fn reply_not_found(&mut self, client: ClientTag) {
+        self.respond(
+            client.0,
+            client.1,
+            ClientResp::Error(RingError::KeyNotFound),
+        );
     }
 
     // ---- Put ----
@@ -466,11 +476,11 @@ impl<T: Transport<Msg>> Node<T> {
         };
         let gs = self.groups.get_mut(&g).expect("owned group");
         let Some((version, mid)) = gs.volatile.highest(key) else {
-            self.respond(from, req, ClientResp::Error(RingError::KeyNotFound));
+            self.reply_not_found((from, req));
             return;
         };
         let Some(coord) = gs.coord.get_mut(&mid) else {
-            self.respond(from, req, ClientResp::Error(RingError::KeyNotFound));
+            self.reply_not_found((from, req));
             return;
         };
         let Some(entry) = coord.meta.get_mut(key, version) else {
@@ -507,20 +517,12 @@ impl<T: Transport<Msg>> Node<T> {
         let gs = self.groups.get_mut(&g).expect("owned group");
         let shard = gs.shard.expect("coordinator");
         let Some(coord) = gs.coord.get_mut(&mid) else {
-            self.respond(
-                client.0,
-                client.1,
-                ClientResp::Error(RingError::KeyNotFound),
-            );
+            self.reply_not_found(client);
             return;
         };
         let scheme = coord.desc.scheme;
         let Some(entry) = coord.meta.get_mut(key, version) else {
-            self.respond(
-                client.0,
-                client.1,
-                ClientResp::Error(RingError::KeyNotFound),
-            );
+            self.reply_not_found(client);
             return;
         };
         // `answer_get` is only reached for committed versions, so the
@@ -531,21 +533,11 @@ impl<T: Transport<Msg>> Node<T> {
             data_present: entry.data_present,
         }) {
             steps::ReadDecision::NotFound => {
-                self.respond(
-                    client.0,
-                    client.1,
-                    ClientResp::Error(RingError::KeyNotFound),
-                );
+                self.reply_not_found(client);
                 return;
             }
             steps::ReadDecision::Serve => {
-                let value = match &coord.store {
-                    CoordStore::Rep { values } => values
-                        .get(&(key, version))
-                        .cloned()
-                        .unwrap_or_else(Payload::empty),
-                    CoordStore::Srs { heap, .. } => Payload::from(heap.read(entry.addr, entry.len)),
-                };
+                let value = coord.store.read_value(key, version, entry);
                 self.respond(client.0, client.1, ClientResp::GetOk { value, version });
                 return;
             }
@@ -572,7 +564,7 @@ impl<T: Transport<Msg>> Node<T> {
         self.dedup_open(from, req);
         let gs = self.groups.get_mut(&g).expect("owned group");
         let Some((version, mid)) = gs.volatile.highest(key) else {
-            self.respond(from, req, ClientResp::Error(RingError::KeyNotFound));
+            self.reply_not_found((from, req));
             return;
         };
         // Deleting a key whose latest version is already a tombstone is
@@ -584,7 +576,7 @@ impl<T: Transport<Msg>> Node<T> {
             .map(|e| e.tombstone)
             .unwrap_or(false);
         if already_deleted {
-            self.respond(from, req, ClientResp::Error(RingError::KeyNotFound));
+            self.reply_not_found((from, req));
             return;
         }
         // A delete is a tombstone written to the memgest currently
@@ -621,36 +613,20 @@ impl<T: Transport<Msg>> Node<T> {
         let gs = self.groups.get_mut(&g).expect("owned group");
         let shard = gs.shard.expect("coordinator");
         let Some((version, src)) = gs.volatile.highest(key) else {
-            self.respond(
-                client.0,
-                client.1,
-                ClientResp::Error(RingError::KeyNotFound),
-            );
+            self.reply_not_found(client);
             return;
         };
         let Some(coord) = gs.coord.get_mut(&src) else {
-            self.respond(
-                client.0,
-                client.1,
-                ClientResp::Error(RingError::KeyNotFound),
-            );
+            self.reply_not_found(client);
             return;
         };
         let scheme = coord.desc.scheme;
         let Some(entry) = coord.meta.get_mut(key, version) else {
-            self.respond(
-                client.0,
-                client.1,
-                ClientResp::Error(RingError::KeyNotFound),
-            );
+            self.reply_not_found(client);
             return;
         };
         if entry.tombstone {
-            self.respond(
-                client.0,
-                client.1,
-                ClientResp::Error(RingError::KeyNotFound),
-            );
+            self.reply_not_found(client);
             return;
         }
         if !entry.committed {
@@ -672,13 +648,7 @@ impl<T: Transport<Msg>> Node<T> {
         }
         // All local: no distributed transaction needed — the benefit of
         // the shared SRS key-to-node mapping (Section 5.2).
-        let value = match &coord.store {
-            CoordStore::Rep { values } => values
-                .get(&(key, version))
-                .cloned()
-                .unwrap_or_else(Payload::empty),
-            CoordStore::Srs { heap, .. } => Payload::from(heap.read(entry.addr, entry.len)),
-        };
+        let value = coord.store.read_value(key, version, entry);
         self.local_write(g, dst, key, value, false, OnCommit::ReplyMove(client));
     }
 
@@ -1143,13 +1113,7 @@ impl<T: Transport<Msg>> Node<T> {
         if e.tombstone || !e.committed || !e.data_present {
             return None;
         }
-        Some(match &coord.store {
-            CoordStore::Rep { values } => values
-                .get(&(key, version))
-                .cloned()
-                .unwrap_or_else(Payload::empty),
-            CoordStore::Srs { heap, .. } => Payload::from(heap.read(e.addr, e.len)),
-        })
+        Some(coord.store.read_value(key, version, e))
     }
 
     /// Releases parked requests after an entry's bytes became available,

@@ -663,9 +663,14 @@ impl<T: Transport<Msg>> Node<T> {
     }
 
     /// Drops local state for a memgest (leader-driven `deleteMemgest`).
-    /// Keys whose only versions lived there are discarded.
+    /// Keys whose only versions lived there are discarded, and writes
+    /// still in flight to it — awaiting acks or stalled behind a parity
+    /// rebuild — are failed back to their clients: they can never commit
+    /// now, and an unanswered write would leave its client to time out
+    /// and its dedup slot `InFlight` forever.
     pub(crate) fn drop_memgest(&mut self, id: MemgestId) {
         self.catalog.remove(&id);
+        let mut orphaned: Vec<OnCommit> = Vec::new();
         for (g, gs) in self.groups.iter_mut() {
             if let Some(coord) = gs.coord.remove(&id) {
                 // Purge volatile references so later gets don't chase a
@@ -678,9 +683,22 @@ impl<T: Transport<Msg>> Node<T> {
             if gs.redundant.remove(&id).is_some() {
                 self.ep.deregister_region(parity_mr_key(*g, id));
             }
-            gs.stalled.remove(&id);
+            let stalled = gs.stalled.remove(&id).unwrap_or_default();
+            orphaned.extend(stalled.into_iter().map(|sp| sp.on_commit));
         }
-        self.pending.retain(|(_, mid, _, _), _| *mid != id);
+        self.pending.retain(|(_, mid, _, _), p| {
+            if *mid == id {
+                orphaned.push(p.on_commit.clone());
+            }
+            *mid != id
+        });
+        for on_commit in orphaned {
+            let (OnCommit::ReplyPut(client)
+            | OnCommit::ReplyDelete(client)
+            | OnCommit::ReplyMove(client)) = on_commit;
+            let gone = ClientResp::Error(crate::error::RingError::UnknownMemgest(id));
+            self.respond(client.0, client.1, gone);
+        }
     }
 
     fn handle_memgest_create(
@@ -738,5 +756,100 @@ impl<T: Transport<Msg>> std::fmt::Debug for Node<T> {
             .field("active", &self.active)
             .field("epoch", &self.config.epoch)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterSpec;
+    use crate::config::CLIENT_BASE;
+    use crate::error::RingError;
+    use crate::proto::{ClientReq, RingFabric};
+
+    /// Delivers the next queued message to a hand-stepped node.
+    fn step(node: &mut Node) {
+        let (from, msg) = node
+            .ep
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a message is queued");
+        node.dispatch(from, msg);
+    }
+
+    fn put(client: &RingEndpoint, to: NodeId, req: ReqId, key: Key, memgest: MemgestId) {
+        let body = ClientReq::Put {
+            key,
+            value: ring_net::Payload::from(b"doomed".to_vec()),
+            memgest: Some(memgest),
+        };
+        client
+            .send(to, Msg::Request { req, body })
+            .expect("client link is up");
+    }
+
+    fn expect_unknown_memgest(client: &RingEndpoint, req: ReqId, id: MemgestId) {
+        let (_, msg) = client
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the dropped write is answered, not left to time out");
+        let body = ClientResp::Error(RingError::UnknownMemgest(id));
+        assert_eq!(msg, Msg::Response { req, body });
+    }
+
+    /// A five-node cluster on one thread: every node is registered on
+    /// the fabric, but only `key`'s coordinator runs, stepped message by
+    /// message so its private tables can be inspected between steps.
+    #[test]
+    fn drop_memgest_fails_inflight_writes_back_to_their_clients() {
+        const REP2: MemgestId = 1;
+        const SRS32: MemgestId = 6;
+        let spec = ClusterSpec::paper_evaluation();
+        let fabric: RingFabric = ring_net::Fabric::new(ring_net::LatencyModel::instant());
+        let nodes: Vec<NodeId> = (0..(spec.s + spec.d) as NodeId).collect();
+        let config = ClusterConfig::initial(spec.s, spec.d, spec.groups, nodes.clone(), Vec::new());
+        let key: Key = 12345;
+        let coordinator = config.coordinator_of_key(key);
+        let (g, shard) = config.locate(key);
+
+        let mut eps: BTreeMap<NodeId, RingEndpoint> = nodes
+            .iter()
+            .map(|&id| (id, fabric.register(id).expect("fresh fabric")))
+            .collect();
+        let leader = fabric.register(LEADER_NODE).expect("fresh fabric");
+        let client = fabric.register(CLIENT_BASE).expect("fresh fabric");
+        let opts = NodeOptions {
+            initial_memgests: (0..).zip(spec.memgests.iter().copied()).collect(),
+            ..NodeOptions::default()
+        };
+        let ep = eps.remove(&coordinator).expect("registered");
+        let mut node = Node::new(ep, config.clone(), opts);
+
+        // A REP2 put whose redundancy link is cut stays uncommitted...
+        for replica in config.replica_targets(g, shard, 2) {
+            fabric.fail_link(coordinator, replica);
+        }
+        put(&client, coordinator, 1, key, REP2);
+        step(&mut node);
+        assert_eq!(node.pending.len(), 1, "awaiting the replica's ack");
+        // ...and an SRS put behind a parity rebuild is stalled.
+        let gs = node.groups.get_mut(&g).expect("coordinated group");
+        gs.coord.get_mut(&SRS32).expect("instantiated").stalled = true;
+        put(&client, coordinator, 2, key, SRS32);
+        step(&mut node);
+        assert_eq!(node.groups[&g].stalled[&SRS32].len(), 1);
+
+        for (token, req, id) in [(7, 1, REP2), (8, 2, SRS32)] {
+            leader
+                .send(coordinator, Msg::MemgestDrop { token, id })
+                .expect("leader link is up");
+            step(&mut node);
+            expect_unknown_memgest(&client, req, id);
+            // The write's dedup slot is settled, not `InFlight` forever:
+            // a re-delivery is answered from the cache.
+            put(&client, coordinator, req, key, id);
+            step(&mut node);
+            expect_unknown_memgest(&client, req, id);
+        }
+        assert!(node.pending.is_empty(), "{:?}", node.pending);
+        assert!(node.groups[&g].stalled.is_empty());
     }
 }

@@ -362,6 +362,23 @@ pub enum CoordStore {
     },
 }
 
+impl CoordStore {
+    /// Reads the locally present value of `(key, version)`, whose
+    /// metadata is `entry`: a handle clone for replicated memgests, a
+    /// heap read at `entry`'s address for SRS ones. (A method of the
+    /// store, not of [`CoordMemgest`], so callers can hold a `&mut`
+    /// entry out of the sibling `meta` field while reading.)
+    pub fn read_value(&self, key: Key, version: Version, entry: &ObjectEntry) -> Payload {
+        match self {
+            CoordStore::Rep { values } => values
+                .get(&(key, version))
+                .cloned()
+                .unwrap_or_else(Payload::empty),
+            CoordStore::Srs { heap, .. } => Payload::from(heap.read(entry.addr, entry.len)),
+        }
+    }
+}
+
 /// Redundant-node-side state of one memgest.
 #[derive(Debug)]
 pub struct RedundantMemgest {

@@ -34,6 +34,39 @@ fn deleting_a_memgest_discards_its_keys() {
 }
 
 #[test]
+fn deleting_a_memgest_fails_its_uncommitted_put() {
+    use ring_kvs::proto::ClientResp;
+    use std::time::{Duration, Instant};
+    let cluster = Cluster::start(fast_spec());
+    let key = 12345u64;
+    let coordinator = cluster.coordinator_of(key);
+    let (g, shard) = cluster.config().locate(key);
+    // Cut the replication path so the REP2 put stays uncommitted.
+    for replica in cluster.config().replica_targets(g, shard, 2) {
+        cluster.fabric().fail_link(coordinator, replica);
+    }
+    let mut writer = cluster.client();
+    let req = writer.put_async(key, b"doomed", Some(1)).unwrap();
+    // The stats call queues behind the put on the same link: once it
+    // answers, the coordinator has taken the put.
+    assert_eq!(writer.node_stats(coordinator).unwrap().ops.puts, 1);
+
+    cluster.client().delete_memgest(1).unwrap();
+    // Every node has acknowledged the drop, so the coordinator has
+    // already failed the put back — no client timeout involved.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let resp = loop {
+        if let Some((_, body)) = writer.poll_responses().into_iter().find(|&(r, _)| r == req) {
+            break body;
+        }
+        assert!(Instant::now() < deadline, "put never answered");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(resp, ClientResp::Error(RingError::UnknownMemgest(1)));
+    cluster.shutdown();
+}
+
+#[test]
 fn large_values_span_blocks_and_periods() {
     let cluster = Cluster::start(fast_spec());
     let mut client = cluster.client();

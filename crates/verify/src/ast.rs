@@ -11,8 +11,8 @@
 //! reported as a parse error.
 //!
 //! Line numbers are 1-based and refer to the token that anchors the
-//! node (an `fn` keyword, a method name, a match arm's first pattern
-//! token), matching the diagnostics contract of the token engine.
+//! node (a method name, a `match` keyword, a pattern alternative's first
+//! token); diagnostics report them verbatim.
 
 /// A parsed source file.
 #[derive(Debug, Default)]
@@ -20,8 +20,8 @@ pub struct SourceFile {
     /// Top-level items in source order.
     pub items: Vec<Item>,
     /// Structural parse errors. Non-empty means the tree is not
-    /// trustworthy and tree-mode linting must abort with an internal
-    /// error (exit code 2), never report partial findings.
+    /// trustworthy and linting must abort with an internal error
+    /// (exit code 2), never report partial findings.
     pub errors: Vec<ParseError>,
 }
 
@@ -54,10 +54,7 @@ pub enum Item {
     /// `const`/`static` with optional initializer.
     Const(ConstItem),
     /// Anything else (`type`, `macro_rules!`, `extern` blocks, …).
-    Other {
-        /// Line of the item's first token.
-        line: u32,
-    },
+    Other,
 }
 
 /// A function item.
@@ -65,10 +62,6 @@ pub enum Item {
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
-    /// True for any `pub` form (`pub`, `pub(crate)`, `pub(super)`, …).
-    pub is_pub: bool,
     /// Parameters (including `self` receivers, whose `name` is `self`).
     pub params: Vec<Param>,
     /// The body; `None` for trait method declarations.
@@ -109,15 +102,6 @@ impl TypeStr {
                     .is_some_and(|c| c.is_alphabetic() || c == '_')
         })
     }
-
-    /// Render for messages (`Mutex < T >` style, compacted).
-    pub fn text(&self) -> String {
-        self.toks
-            .join(" ")
-            .replace(" :: ", "::")
-            .replace(" < ", "<")
-            .replace(" > ", ">")
-    }
 }
 
 /// A struct definition.
@@ -125,8 +109,6 @@ impl TypeStr {
 pub struct StructItem {
     /// The struct's name.
     pub name: String,
-    /// Line of the `struct` keyword.
-    pub line: u32,
     /// Named fields (tuple fields get positional names `0`, `1`, …).
     pub fields: Vec<Field>,
 }
@@ -169,24 +151,17 @@ pub struct Variant {
 pub struct ImplBlock {
     /// Head identifier of the self type (`Foo` for `impl Foo<T>`).
     pub self_ty: String,
-    /// Trait name for trait impls (`Transport` for
-    /// `impl Transport for Foo`).
-    pub trait_name: Option<String>,
     /// Items inside the block (fns, consts, `type` aliases → `Other`).
     pub items: Vec<Item>,
-    /// Line of the `impl` keyword.
-    pub line: u32,
 }
 
 /// A module.
 #[derive(Debug)]
 pub struct ModItem {
-    /// The module's name.
-    pub name: String,
     /// True if the module carries `#[cfg(test)]`.
     pub cfg_test: bool,
-    /// Line the item starts on (its first attribute, matching the
-    /// token engine's test-span convention).
+    /// Line the item starts on (its first attribute, so a test-mod
+    /// span covers the `#[cfg(test)]` line itself).
     pub start_line: u32,
     /// Line of the closing brace (`start_line` for `mod x;`).
     pub end_line: u32,
@@ -197,10 +172,6 @@ pub struct ModItem {
 /// A trait definition.
 #[derive(Debug)]
 pub struct TraitItem {
-    /// The trait's name.
-    pub name: String,
-    /// Line of the `trait` keyword.
-    pub line: u32,
     /// Items inside (default methods carry bodies).
     pub items: Vec<Item>,
 }
@@ -211,10 +182,8 @@ pub struct UseItem {
     /// Every identifier in the use tree, with its line and whether it
     /// is adjacent to a `::` (`a::b` — both; `{a, b}` members — no).
     /// Path-position rules use the adjacency to match only qualified
-    /// mentions, mirroring the token engine.
+    /// mentions.
     pub segs: Vec<UseSeg>,
-    /// Line of the `use` keyword.
-    pub line: u32,
 }
 
 /// One identifier inside a `use` tree.
@@ -252,8 +221,6 @@ pub struct Block {
     pub stmts: Vec<Stmt>,
     /// Line of the opening brace.
     pub open_line: u32,
-    /// Line of the closing brace.
-    pub close_line: u32,
 }
 
 /// One statement.
@@ -291,16 +258,6 @@ pub struct PathExpr {
 }
 
 impl PathExpr {
-    /// Segment names without lines.
-    pub fn names(&self) -> Vec<&str> {
-        self.segs.iter().map(|(s, _)| s.as_str()).collect()
-    }
-
-    /// The final segment.
-    pub fn last(&self) -> &str {
-        self.segs.last().map(|(s, _)| s.as_str()).unwrap_or("")
-    }
-
     /// Line of the path's first token.
     pub fn line(&self) -> u32 {
         self.segs.first().map(|&(_, l)| l).unwrap_or(0)
@@ -487,8 +444,6 @@ pub struct Arm {
     pub pats: Vec<PatInfo>,
     /// The arm body.
     pub body: Box<Expr>,
-    /// Line of the arm's first pattern token.
-    pub line: u32,
 }
 
 /// Skeleton info about one pattern alternative.

@@ -3,20 +3,19 @@
 //! Usage:
 //!
 //! ```text
-//! ring-lint --workspace [--token] [--json] [--root PATH]
-//! ring-lint [--token] [--det] [--allowlist PATH] [--json] FILE...
+//! ring-lint --workspace [--json] [--root PATH]
+//! ring-lint [--det] [--allowlist PATH] [--tla SPEC] [--json] FILE...
 //! ```
 //!
 //! `--workspace` discovers every `.rs` under `crates/*/src` (shims and
 //! test trees exempt) and applies path-based deterministic scoping.
 //! Explicit-file mode is used by the fixture tests: `--det` marks the
 //! files as deterministic-path, `--allowlist` points at a
-//! relaxed-ordering allowlist (default: none).
+//! relaxed-ordering allowlist (default: none), `--tla` at a TLA+ spec
+//! for the model-drift rule.
 //!
-//! The tree engine (parse trees + workspace passes) is the default;
-//! `--token` falls back to the token-stream engine, which runs only
-//! the six legacy rules. CI diffs the two on the live workspace to
-//! pin their parity.
+//! Every file is parsed and all nine rules run; a file that does not
+//! parse is an error (exit 2), never a partial verdict.
 //!
 //! Stale-suppression warnings go to stderr and never affect the exit
 //! code.
@@ -27,13 +26,12 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ring_verify::{rules, to_json, Mode, Workspace, RELAXED_ALLOWLIST};
+use ring_verify::{rules, to_json, Workspace, RELAXED_ALLOWLIST};
 
 struct Args {
     workspace: bool,
     json: bool,
     det: bool,
-    token: bool,
     root: PathBuf,
     allowlist: Option<PathBuf>,
     tla: Option<PathBuf>,
@@ -42,8 +40,8 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ring-lint --workspace [--token] [--json] [--root PATH]\n\
-         \u{20}      ring-lint [--token] [--det] [--allowlist PATH] [--tla SPEC] [--json] FILE..."
+        "usage: ring-lint --workspace [--json] [--root PATH]\n\
+         \u{20}      ring-lint [--det] [--allowlist PATH] [--tla SPEC] [--json] FILE..."
     );
     ExitCode::from(2)
 }
@@ -53,7 +51,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         workspace: false,
         json: false,
         det: false,
-        token: false,
         root: PathBuf::from("."),
         allowlist: None,
         tla: None,
@@ -65,7 +62,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--workspace" => args.workspace = true,
             "--json" => args.json = true,
             "--det" => args.det = true,
-            "--token" => args.token = true,
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or_else(usage)?);
             }
@@ -128,7 +124,6 @@ fn main() -> ExitCode {
             None => ws,
         }
     };
-    let ws = ws.with_mode(if args.token { Mode::Token } else { Mode::Tree });
 
     let outcome = match ws.run() {
         Ok(o) => o,

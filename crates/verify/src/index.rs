@@ -1,4 +1,4 @@
-//! Workspace symbol index for the tree-mode semantic passes.
+//! Workspace symbol index for the workspace-level semantic passes.
 //!
 //! Built once per lint run from every parsed file, the index answers
 //! the cross-crate questions the per-file rules cannot: which struct
@@ -10,7 +10,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{walk_items, Item, ItemCtx, SourceFile, TypeStr};
+use crate::ast::{walk_items, Item, ItemCtx, TypeStr};
+use crate::passes::PassFile;
 
 /// Which lock primitive a declaration wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,11 +96,12 @@ pub struct WorkspaceIndex {
 }
 
 impl WorkspaceIndex {
-    /// Builds the index over `(crate_key, rel_path, tree)` triples.
-    pub fn build(files: &[(String, String, &SourceFile)]) -> WorkspaceIndex {
+    /// Builds the index over every file of the run.
+    pub fn build(files: &[PassFile<'_>]) -> WorkspaceIndex {
         let mut ix = WorkspaceIndex::default();
-        for (crate_key, rel, tree) in files {
-            walk_items(&tree.items, &ItemCtx::default(), &mut |ctx, item| {
+        for f in files {
+            let (crate_key, rel) = (crate::crate_of(f.rel), f.rel.to_string());
+            walk_items(&f.tree.items, &ItemCtx::default(), &mut |ctx, item| {
                 if ctx.in_test_mod {
                     return;
                 }
@@ -190,14 +192,14 @@ mod tests {
     use crate::parse::parse;
 
     fn index_of(src: &str) -> WorkspaceIndex {
-        let tree = parse(&lex(src));
+        let lexed = lex(src);
+        let tree = parse(&lexed);
         assert!(tree.errors.is_empty(), "{:?}", tree.errors);
-        let files = vec![(
-            "crates/x".to_string(),
-            "crates/x/src/lib.rs".to_string(),
-            &tree,
-        )];
-        WorkspaceIndex::build(&files)
+        WorkspaceIndex::build(&[PassFile {
+            rel: "crates/x/src/lib.rs",
+            lexed: &lexed,
+            tree: &tree,
+        }])
     }
 
     #[test]

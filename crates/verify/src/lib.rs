@@ -3,12 +3,18 @@
 //! `ring-verify` packages the repo's verification tooling:
 //!
 //! - **`ring-lint`** (this library + the `ring-lint` binary): a
-//!   token-level linter enforcing protocol invariants that `rustc` and
-//!   clippy cannot see — deterministic paths must not read ambient time
-//!   or entropy, lock guards must not be held across fabric sends,
-//!   `Ordering::Relaxed` must be justified in an allowlist, and hash
-//!   tables must not be iterated where ordering feeds protocol
-//!   decisions. See [`rules`] for each rule's rationale.
+//!   parsing, cross-crate linter enforcing protocol invariants that
+//!   `rustc` and clippy cannot see. Every file is lexed ([`lexer`]) and
+//!   parsed into a skeleton tree ([`parse`], [`ast`]); six per-file
+//!   rules ([`rules`]) check that deterministic paths read no ambient
+//!   time or entropy, no lock guard is held across a fabric send,
+//!   `Ordering::Relaxed` is justified in an allowlist, hash tables are
+//!   not iterated where ordering feeds protocol decisions, and every
+//!   shared protocol step names its TLA+ action; three workspace
+//!   passes ([`passes`], over the [`index`]) check lock order, `Msg` ↔
+//!   wire-tag ↔ dispatch agreement, and `Payload` deep copies. A file
+//!   that does not parse aborts the run ([`LintError::Parse`]) — there
+//!   is one engine and no fallback.
 //! - **loom models** (`tests/loom.rs`, compiled under
 //!   `RUSTFLAGS="--cfg loom"`): schedule-exploration models of the
 //!   Mailbox length mirror, Payload sharing, and the coordinator's
@@ -27,28 +33,11 @@ pub mod lexer;
 pub mod parse;
 pub mod passes;
 pub mod rules;
-pub mod tree_rules;
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 pub use rules::Diagnostic;
-
-/// Which rule engine a run uses.
-///
-/// The tree engine is the default: it hosts every legacy rule (see
-/// [`tree_rules`]) plus the semantic passes that need real structure
-/// (lock-order, protocol-drift, payload-copy). The token engine is the
-/// legacy fallback, kept for parity testing — CI diffs the two over
-/// the live workspace on the shared rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Parse-tree rules (default).
-    #[default]
-    Tree,
-    /// Legacy token-scan rules (`ring-lint --token`).
-    Token,
-}
 
 /// Why a lint run failed before producing a verdict. Maps to exit
 /// code 2 in the binary: these are tool failures, not findings.
@@ -116,8 +105,6 @@ pub struct Workspace {
     tla_actions: BTreeSet<String>,
     /// Override: treat all files as deterministic-path (fixture mode).
     force_deterministic: Option<bool>,
-    /// Which rule engine to run.
-    mode: Mode,
 }
 
 impl Workspace {
@@ -160,7 +147,6 @@ impl Workspace {
             relaxed_allowlist,
             tla_actions,
             force_deterministic: None,
-            mode: Mode::default(),
         })
     }
 
@@ -178,14 +164,7 @@ impl Workspace {
             relaxed_allowlist: allowlist,
             tla_actions: BTreeSet::new(),
             force_deterministic: Some(deterministic),
-            mode: Mode::default(),
         }
-    }
-
-    /// Selects the rule engine (defaults to [`Mode::Tree`]).
-    pub fn with_mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Supplies TLA+ definition names for the model-drift rule
@@ -211,73 +190,42 @@ impl Workspace {
     /// Runs every rule over every file, also returning stale-suppression
     /// warnings. Diagnostics come back sorted by (file, line, rule).
     pub fn run(&self) -> Result<LintOutcome, LintError> {
-        // Pass 1: lex everything once, collecting hash-typed names per
-        // crate so `self.field` iteration is caught across modules.
-        // (Both engines share the token-derived name set — it is part
-        // of the rule's contract, not an engine detail.)
-        let mut lexed_files = Vec::with_capacity(self.files.len());
+        // Pass 1: lex and parse everything once, collecting hash-typed
+        // names per crate so `self.field` iteration is caught across
+        // modules. Structural parse errors abort the run — a file the
+        // rules cannot see is a false "clean", never a finding.
+        let mut sources = Vec::with_capacity(self.files.len());
         for rel in &self.files {
             let src = std::fs::read_to_string(self.root.join(rel))?;
             let lexed = lexer::lex(&src);
-            lexed_files.push((rel.clone(), src, lexed));
+            sources.push((rel.as_str(), src, lexed));
         }
         let mut crate_hash_names: std::collections::BTreeMap<String, BTreeSet<String>> =
             std::collections::BTreeMap::new();
-        for (rel, _, lexed) in &lexed_files {
+        let mut parse_failures = Vec::new();
+        let mut trees = Vec::with_capacity(sources.len());
+        for (rel, _, lexed) in &sources {
             crate_hash_names
                 .entry(crate_of(rel))
                 .or_default()
                 .extend(rules::collect_hash_names(lexed));
+            let tree = parse::parse(lexed);
+            for e in &tree.errors {
+                parse_failures.push(format!("{rel}:{}: {}", e.line, e.msg));
+            }
+            trees.push(tree);
+        }
+        if !parse_failures.is_empty() {
+            return Err(LintError::Parse(parse_failures));
         }
 
-        // Pass 1b (tree engine): parse every file. Structural parse
-        // errors abort the run — a file the tree rules cannot see is a
-        // false "clean", never a finding.
-        let trees: Vec<Option<ast::SourceFile>> = match self.mode {
-            Mode::Token => lexed_files.iter().map(|_| None).collect(),
-            Mode::Tree => {
-                let mut parse_failures = Vec::new();
-                let trees = lexed_files
-                    .iter()
-                    .map(|(rel, _, lexed)| {
-                        let tree = parse::parse(lexed);
-                        for e in &tree.errors {
-                            parse_failures.push(format!("{rel}:{}: {}", e.line, e.msg));
-                        }
-                        Some(tree)
-                    })
-                    .collect();
-                if !parse_failures.is_empty() {
-                    return Err(LintError::Parse(parse_failures));
-                }
-                trees
-            }
-        };
-        let index = match self.mode {
-            Mode::Token => None,
-            Mode::Tree => {
-                let triples: Vec<(String, String, &ast::SourceFile)> = lexed_files
-                    .iter()
-                    .zip(&trees)
-                    .map(|((rel, _, _), tree)| {
-                        (
-                            crate_of(rel),
-                            rel.clone(),
-                            tree.as_ref().expect("tree mode"),
-                        )
-                    })
-                    .collect();
-                Some(index::WorkspaceIndex::build(&triples))
-            }
-        };
-
-        // Pass 2: run the rules, recording suppressed hits per file
-        // for the stale-suppression check.
+        // Pass 2: the per-file rules, recording suppressed hits per
+        // file for the stale-suppression check.
         let mut out = Vec::new();
         let mut warnings = Vec::new();
-        let mut sups: Vec<Vec<rules::SuppressedHit>> = vec![Vec::new(); lexed_files.len()];
+        let mut sups: Vec<Vec<rules::SuppressedHit>> = vec![Vec::new(); sources.len()];
         let empty = BTreeSet::new();
-        for (idx, (rel, src, lexed)) in lexed_files.iter().enumerate() {
+        for (((rel, src, lexed), tree), sup) in sources.iter().zip(&trees).zip(&mut sups) {
             let deterministic = self
                 .force_deterministic
                 .unwrap_or_else(|| rules::is_deterministic_path(rel));
@@ -293,46 +241,34 @@ impl Workspace {
                 lexed,
                 deterministic,
                 model_mirror,
-                relaxed_allowlisted: self.relaxed_allowlist.contains(rel),
+                relaxed_allowlisted: self.relaxed_allowlist.contains(*rel),
                 hash_names: crate_hash_names.get(&crate_of(rel)).unwrap_or(&empty),
                 tla_actions: &self.tla_actions,
             };
-            let sup = &mut sups[idx];
-            match self.mode {
-                Mode::Token => out.extend(rules::lint_file_recording(&ctx, sup)),
-                Mode::Tree => {
-                    let tree = trees[idx].as_ref().expect("tree mode");
-                    out.extend(tree_rules::lint_file_tree(&ctx, tree, sup));
-                }
-            }
+            out.extend(rules::lint_file(&ctx, tree, sup));
         }
 
-        // Pass 3 (tree engine): the workspace-level semantic passes —
-        // they reason across files, so they run over the whole set.
-        if let Some(ix) = &index {
-            let pass_files: Vec<passes::PassFile<'_>> = lexed_files
-                .iter()
-                .zip(&trees)
-                .map(|((rel, _, lexed), tree)| passes::PassFile {
-                    rel,
-                    lexed,
-                    tree: tree.as_ref().expect("tree mode"),
-                })
-                .collect();
-            out.extend(passes::run_passes(
-                &pass_files,
-                ix,
-                self.force_deterministic.is_some(),
-                &mut sups,
-            ));
-        }
+        // Pass 3: the workspace-level semantic passes — they reason
+        // across files, so they run over the whole set.
+        let pass_files: Vec<passes::PassFile<'_>> = sources
+            .iter()
+            .zip(&trees)
+            .map(|((rel, _, lexed), tree)| passes::PassFile { rel, lexed, tree })
+            .collect();
+        let index = index::WorkspaceIndex::build(&pass_files);
+        out.extend(passes::run_passes(
+            &pass_files,
+            &index,
+            self.force_deterministic.is_some(),
+            &mut sups,
+        ));
 
         let mut files_with_relaxed_sup: BTreeSet<String> = BTreeSet::new();
-        for ((rel, _, lexed), sup) in lexed_files.iter().zip(&sups) {
+        for ((rel, _, lexed), sup) in sources.iter().zip(&sups) {
             if sup.iter().any(|&(_, r)| r == rules::RELAXED_ORDERING) {
-                files_with_relaxed_sup.insert(rel.clone());
+                files_with_relaxed_sup.insert(rel.to_string());
             }
-            stale_directive_warnings(rel, lexed, sup, self.mode, &mut warnings);
+            stale_directive_warnings(rel, lexed, sup, &mut warnings);
         }
         for entry in &self.relaxed_allowlist {
             if !self.files.contains(entry) {
@@ -360,27 +296,16 @@ impl Workspace {
 /// run. A per-line directive is live when a suppressed hit of its rule
 /// landed on its own line or the line below (its coverage span); a
 /// file-wide directive is live when any hit of its rule was suppressed
-/// anywhere in the file.
-///
-/// Directives for rules the active engine does not run are skipped:
-/// the token engine never runs the workspace passes, so a
-/// `payload-copy` allow is not stale under `--token` — just out of
-/// that engine's jurisdiction. Unknown rule names are skipped too
-/// (lexer fixtures and doc examples use placeholder names).
+/// anywhere in the file. Unknown rule names are skipped (lexer fixtures
+/// and doc examples use placeholder names).
 fn stale_directive_warnings(
     rel: &str,
     lexed: &lexer::Lexed,
     sup: &[rules::SuppressedHit],
-    mode: Mode,
     warnings: &mut Vec<String>,
 ) {
     for (line, rule, file_wide) in &lexed.directives {
-        let known = rules::ALL_RULES.contains(&rule.as_str());
-        let tree_only = matches!(
-            rule.as_str(),
-            rules::LOCK_ORDER | rules::PROTOCOL_DRIFT | rules::PAYLOAD_COPY
-        );
-        if !known || (mode == Mode::Token && tree_only) {
+        if !rules::ALL_RULES.contains(&rule.as_str()) {
             continue;
         }
         let live = if *file_wide {

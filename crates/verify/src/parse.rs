@@ -12,7 +12,7 @@
 //! only structural damage — an unbalanced delimiter, a file that ends
 //! inside a block — is reported in [`SourceFile::errors`]. The
 //! workspace golden test asserts zero errors over every `.rs` file in
-//! `crates/`, which is the contract the tree-mode rules depend on.
+//! `crates/`, which is the contract the rules depend on.
 
 use crate::ast::*;
 use crate::lexer::{Lexed, Token, TokenKind};
@@ -368,9 +368,7 @@ impl<'a> P<'a> {
         let start_line = attr_line.unwrap_or_else(|| self.line());
 
         // Visibility.
-        let mut is_pub = false;
         if self.ident(0) == Some("pub") {
-            is_pub = true;
             self.bump();
             if self.punct(0, '(') {
                 self.skip_balanced();
@@ -391,14 +389,14 @@ impl<'a> P<'a> {
                         self.bump();
                         self.bump();
                         self.skip_balanced();
-                        return Item::Other { line: start_line };
+                        return Item::Other;
                     } else {
                         // `extern crate x;`
                         while !self.at_end() && !self.punct(0, ';') {
                             self.bump();
                         }
                         self.bump();
-                        return Item::Other { line: start_line };
+                        return Item::Other;
                     }
                 }
                 _ => break,
@@ -406,7 +404,7 @@ impl<'a> P<'a> {
         }
 
         match self.ident(0) {
-            Some("fn") => Item::Fn(self.parse_fn(is_pub)),
+            Some("fn") => Item::Fn(self.parse_fn()),
             Some("struct") => self.parse_struct(),
             Some("enum") => self.parse_enum(),
             Some("impl") => self.parse_impl(),
@@ -416,7 +414,7 @@ impl<'a> P<'a> {
             Some("const" | "static") => self.parse_const(),
             Some("type") => {
                 self.skip_to_semi();
-                Item::Other { line: start_line }
+                Item::Other
             }
             Some("macro_rules") => {
                 self.bump();
@@ -429,7 +427,7 @@ impl<'a> P<'a> {
                 if matches!(self.kind(0), Some(TokenKind::Punct('(' | '[' | '{'))) {
                     self.skip_balanced();
                 }
-                Item::Other { line: start_line }
+                Item::Other
             }
             Some("union") => {
                 self.bump();
@@ -442,24 +440,22 @@ impl<'a> P<'a> {
                 if self.punct(0, '{') {
                     self.skip_balanced();
                 }
-                Item::Other { line: start_line }
+                Item::Other
             }
             Some(_) => {
                 // Macro invocation item: `path::mac! { ... }` / `(...)`;`.
-                if self.try_macro_item() {
-                    Item::Other { line: start_line }
-                } else {
+                if !self.try_macro_item() {
                     let line = self.line();
                     self.err(line, "unrecognized item");
                     self.bump();
-                    Item::Other { line }
                 }
+                Item::Other
             }
             None => {
                 let line = self.line();
                 self.err(line, "expected an item");
                 self.bump();
-                Item::Other { line }
+                Item::Other
             }
         }
     }
@@ -508,7 +504,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn parse_fn(&mut self, is_pub: bool) -> FnItem {
+    fn parse_fn(&mut self) -> FnItem {
         let line = self.line();
         self.bump(); // fn
         let name = match self.ident(0) {
@@ -555,13 +551,7 @@ impl<'a> P<'a> {
             }
             None
         };
-        FnItem {
-            name,
-            line,
-            is_pub,
-            params,
-            body,
-        }
+        FnItem { name, params, body }
     }
 
     fn parse_param(&mut self) -> Param {
@@ -641,7 +631,6 @@ impl<'a> P<'a> {
     }
 
     fn parse_struct(&mut self) -> Item {
-        let line = self.line();
         self.bump(); // struct
         let name = self.take_ident().unwrap_or_default();
         if self.punct(0, '<') {
@@ -713,7 +702,7 @@ impl<'a> P<'a> {
         } else if self.punct(0, ';') {
             self.bump(); // unit struct
         }
-        Item::Struct(StructItem { name, line, fields })
+        Item::Struct(StructItem { name, fields })
     }
 
     fn parse_enum(&mut self) -> Item {
@@ -817,51 +806,36 @@ impl<'a> P<'a> {
     }
 
     fn parse_impl(&mut self) -> Item {
-        let line = self.line();
         self.bump(); // impl
         if self.punct(0, '<') {
             self.skip_generics();
         }
-        let first = self.parse_type(&['{']);
-        let (trait_name, self_ty) = if self.ident(0) == Some("for") {
+        // `impl Type` or `impl Trait for Type`: keep the self type.
+        let mut ty = self.parse_type(&['{']);
+        if self.ident(0) == Some("for") {
             self.bump();
-            let second = self.parse_type(&['{']);
-            if self.ident(0) == Some("where") {
-                self.bump();
-                self.skip_where();
-            }
-            (
-                first.head().map(str::to_string),
-                second.head().unwrap_or_default().to_string(),
-            )
-        } else {
-            if self.ident(0) == Some("where") {
-                self.bump();
-                self.skip_where();
-            }
-            (None, first.head().unwrap_or_default().to_string())
-        };
+            ty = self.parse_type(&['{']);
+        }
+        if self.ident(0) == Some("where") {
+            self.bump();
+            self.skip_where();
+        }
+        let self_ty = ty.head().unwrap_or_default().to_string();
         let mut items = Vec::new();
         if self.punct(0, '{') {
             self.bump();
             items = self.parse_items(true);
             self.bump(); // '}'
         }
-        Item::Impl(ImplBlock {
-            self_ty,
-            trait_name,
-            items,
-            line,
-        })
+        Item::Impl(ImplBlock { self_ty, items })
     }
 
     fn parse_mod(&mut self, cfg_test: bool, start_line: u32) -> Item {
         self.bump(); // mod
-        let name = self.take_ident().unwrap_or_default();
+        self.take_ident();
         if self.punct(0, ';') {
             self.bump();
             return Item::Mod(ModItem {
-                name,
                 cfg_test,
                 start_line,
                 end_line: start_line,
@@ -877,7 +851,6 @@ impl<'a> P<'a> {
             self.bump(); // '}'
         }
         Item::Mod(ModItem {
-            name,
             cfg_test,
             start_line,
             end_line,
@@ -886,9 +859,8 @@ impl<'a> P<'a> {
     }
 
     fn parse_trait(&mut self) -> Item {
-        let line = self.line();
         self.bump(); // trait
-        let name = self.take_ident().unwrap_or_default();
+        self.take_ident();
         if self.punct(0, '<') {
             self.skip_generics();
         }
@@ -907,11 +879,10 @@ impl<'a> P<'a> {
             items = self.parse_items(true);
             self.bump();
         }
-        Item::Trait(TraitItem { name, line, items })
+        Item::Trait(TraitItem { items })
     }
 
     fn parse_use(&mut self) -> Item {
-        let line = self.line();
         self.bump(); // use
         let mut segs = Vec::new();
         let mut prev_colons = false;
@@ -927,7 +898,7 @@ impl<'a> P<'a> {
             self.bump();
         }
         self.bump(); // ';'
-        Item::Use(UseItem { segs, line })
+        Item::Use(UseItem { segs })
     }
 
     fn parse_const(&mut self) -> Item {
@@ -986,20 +957,11 @@ impl<'a> P<'a> {
                 if self.at_end() {
                     self.err(open_line, "file ended inside a block");
                 }
-                return Block {
-                    stmts,
-                    open_line,
-                    close_line: self.line(),
-                };
+                return Block { stmts, open_line };
             }
             if self.punct(0, '}') {
-                let close_line = self.line();
                 self.bump();
-                return Block {
-                    stmts,
-                    open_line,
-                    close_line,
-                };
+                return Block { stmts, open_line };
             }
             if self.punct(0, ';') {
                 self.bump();
@@ -1008,12 +970,11 @@ impl<'a> P<'a> {
             // Attributes may precede items, lets, and expressions
             // alike; the cfg(test) flag only matters for items.
             let before = self.i;
-            let (cfg_test, attr_line) = self.eat_attrs();
+            self.eat_attrs();
             if self.ident(0) == Some("let") {
                 stmts.push(Stmt::Let(self.parse_let()));
             } else if self.is_item_start() {
                 // Rewind over the attrs so parse_item sees them.
-                let _ = (cfg_test, attr_line);
                 self.i = before;
                 stmts.push(Stmt::Item(Box::new(self.parse_item())));
             } else if self.punct(0, '{')
@@ -1271,7 +1232,7 @@ impl<'a> P<'a> {
                 Expr::Unknown { line }
             }
         };
-        self.parse_postfix(primary, no_struct)
+        self.parse_postfix(primary)
     }
 
     fn parse_closure(&mut self, stops: Stops, line: u32) -> Expr {
@@ -1488,7 +1449,6 @@ impl<'a> P<'a> {
                 then: Block {
                     stmts: Vec::new(),
                     open_line: line,
-                    close_line: line,
                 },
                 else_: None,
                 line,
@@ -1546,7 +1506,6 @@ impl<'a> P<'a> {
             Block {
                 stmts: Vec::new(),
                 open_line: line,
-                close_line: line,
             }
         }
     }
@@ -1574,7 +1533,6 @@ impl<'a> P<'a> {
                     self.bump();
                     break;
                 }
-                let arm_line = self.line();
                 let pats = self.parse_arm_pats();
                 if self.punct(0, '=') && self.punct(1, '>') {
                     self.bump();
@@ -1587,7 +1545,6 @@ impl<'a> P<'a> {
                 arms.push(Arm {
                     pats,
                     body: Box::new(body),
-                    line: arm_line,
                 });
             }
         }
@@ -1714,8 +1671,7 @@ impl<'a> P<'a> {
 
     /// Postfix chain: `.method(…)`, `.field`, `.0`, `.await`, `?`,
     /// `(…)` calls, `[…]` indexing.
-    fn parse_postfix(&mut self, mut e: Expr, no_struct: bool) -> Expr {
-        let _ = no_struct;
+    fn parse_postfix(&mut self, mut e: Expr) -> Expr {
         loop {
             if !self.spend_fuel() {
                 return e;

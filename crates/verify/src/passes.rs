@@ -1,7 +1,7 @@
-//! The tree-only semantic passes: lock-order, protocol-drift, and
-//! payload-copy.
+//! The workspace-level semantic passes: lock-order, protocol-drift,
+//! and payload-copy.
 //!
-//! Unlike the per-file rules, these reason *across* files — the lock
+//! Unlike the per-file rules ([`crate::rules`]), these reason *across* files — the lock
 //! graph spans crates, the `Msg` enum and its wire tags live in
 //! different crates than the `match`es that consume them — so the
 //! whole file set is analyzed in one call, over the parse trees and
@@ -17,8 +17,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::ast::{walk_items, Block, Expr, Item, ItemCtx, LetStmt, SourceFile, Stmt};
 use crate::index::WorkspaceIndex;
 use crate::lexer::Lexed;
-use crate::rules::{in_spans, Diagnostic, SuppressedHit, LOCK_ORDER, PAYLOAD_COPY, PROTOCOL_DRIFT};
-use crate::tree_rules::{guard_init, tree_test_spans};
+use crate::rules::{
+    guard_init, in_spans, test_mod_spans, Diagnostic, SuppressedHit, LOCK_ORDER, PAYLOAD_COPY,
+    PROTOCOL_DRIFT,
+};
 
 /// One file's inputs to the workspace passes.
 pub struct PassFile<'a> {
@@ -63,7 +65,7 @@ pub fn run_passes(
     explicit: bool,
     sups: &mut [Vec<SuppressedHit>],
 ) -> Vec<Diagnostic> {
-    let spans: Vec<Vec<(u32, u32)>> = files.iter().map(|f| tree_test_spans(f.tree)).collect();
+    let spans: Vec<Vec<(u32, u32)>> = files.iter().map(|f| test_mod_spans(f.tree)).collect();
     let mut em = Emitter {
         files,
         spans: &spans,

@@ -8,7 +8,15 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use ring_verify::{rules, Mode, Workspace};
+use ring_verify::{rules, Workspace};
+
+/// The workspace root (`crates/verify` → two levels up).
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("repo root")
+}
 
 /// Lints one fixture as deterministic-path code and returns
 /// `(line, rule)` pairs, asserting every diagnostic names the fixture.
@@ -77,6 +85,13 @@ fn guard_across_send_positive() {
 fn guard_across_send_negative() {
     // drop() before send and a block-scoped guard both pass.
     assert_eq!(lint_fixture("guard_across_send_ok.rs", None), vec![]);
+}
+
+#[test]
+fn guard_moved_into_inner_block_negative() {
+    // A guard *moved* into an inner block dies there; the send after
+    // the block is clean. Brace-depth liveness would fire on line 10.
+    assert_eq!(lint_fixture("guard_inner_block_ok.rs", None), vec![]);
 }
 
 #[test]
@@ -169,11 +184,7 @@ fn tla_action_parser_reads_top_level_definitions() {
 /// run of the linter over the live tree reports no model drift.
 #[test]
 fn live_steps_module_matches_live_spec() {
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("repo root");
-    let spec = std::fs::read_to_string(repo_root.join(ring_verify::TLA_SPEC))
+    let spec = std::fs::read_to_string(repo_root().join(ring_verify::TLA_SPEC))
         .expect("RingWriteSemantics.tla present");
     let actions = rules::parse_tla_actions(&spec);
     // The canonical action set is all there.
@@ -190,7 +201,7 @@ fn live_steps_module_matches_live_spec() {
     ] {
         assert!(actions.contains(a), "spec lost action {a}");
     }
-    let ws = Workspace::discover(repo_root).expect("discover");
+    let ws = Workspace::discover(repo_root()).expect("discover");
     let drift: Vec<_> = ws
         .lint()
         .expect("lint")
@@ -238,15 +249,32 @@ fn deterministic_scope_covers_wire_and_server() {
     }
 }
 
+/// The live tree lints clean under all nine rules and carries no stale
+/// suppression: tier-1 itself enforces the lint, and a file the parser
+/// cannot read fails here (`run` returns `LintError::Parse`).
+#[test]
+fn live_workspace_lints_clean() {
+    let outcome = Workspace::discover(repo_root())
+        .expect("discover")
+        .run()
+        .expect("live tree parses");
+    assert!(
+        outcome.diagnostics.is_empty(),
+        "findings in live tree: {:#?}",
+        outcome.diagnostics
+    );
+    assert!(
+        outcome.warnings.is_empty(),
+        "stale suppressions in live tree: {:#?}",
+        outcome.warnings
+    );
+}
+
 /// The workspace walk (crate-dir glob) picks up the new crates — a
 /// regression guard against hard-coded crate lists creeping back in.
 #[test]
 fn discover_walks_wire_and_server() {
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("repo root");
-    let ws = Workspace::discover(repo_root).expect("discover");
+    let ws = Workspace::discover(repo_root()).expect("discover");
     for expect in [
         "crates/wire/src/lib.rs",
         "crates/wire/src/enc.rs",
@@ -378,102 +406,7 @@ fn payload_copy_negative() {
 }
 
 // ---------------------------------------------------------------------
-// Engine parity: the six legacy rules must agree diagnostic-for-
-// diagnostic between the token and tree engines — with one documented
-// exception where the tree engine's dataflow is strictly better.
-// ---------------------------------------------------------------------
-
-/// Like `lint_fixture`, but in a chosen engine mode.
-fn lint_fixture_in(mode: Mode, name: &str, allowlist: Option<&str>) -> Vec<(u32, &'static str)> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let rel = format!("tests/fixtures/{name}");
-    let allow = match allowlist {
-        Some(a) => rules::load_relaxed_allowlist(&root.join("tests/fixtures").join(a))
-            .expect("fixture allowlist readable"),
-        None => BTreeSet::new(),
-    };
-    let ws = Workspace::explicit(root, vec![rel.clone()], true, allow).with_mode(mode);
-    let diags = ws.lint().expect("fixture readable");
-    diags.into_iter().map(|d| (d.line, d.rule)).collect()
-}
-
-/// The per-file fixtures produce byte-identical results in both
-/// engines (the tree-only workspace passes fire on none of them).
-#[test]
-fn token_and_tree_engines_agree_on_fixtures() {
-    for (name, allowlist) in [
-        ("ambient_time_bad.rs", None),
-        ("ambient_time_ok.rs", None),
-        ("ambient_entropy_bad.rs", None),
-        ("ambient_entropy_ok.rs", None),
-        ("guard_across_send_bad.rs", None),
-        ("guard_across_send_ok.rs", None),
-        ("relaxed_ordering_bad.rs", None),
-        ("relaxed_ordering_ok.rs", Some("allowlist.txt")),
-        ("hashmap_iteration_bad.rs", None),
-        ("hashmap_iteration_ok.rs", None),
-        ("wire_codec_bad.rs", None),
-        ("server_harness_ok.rs", None),
-    ] {
-        assert_eq!(
-            lint_fixture_in(Mode::Tree, name, allowlist),
-            lint_fixture_in(Mode::Token, name, allowlist),
-            "engines disagree on {name}"
-        );
-    }
-}
-
-/// The one sanctioned divergence: a guard *moved* into an inner block
-/// dies there, which the brace-depth token heuristic cannot see. The
-/// tree engine's liveness dataflow is authoritative; the token engine
-/// false-positives. This test documents (and pins) both behaviors.
-#[test]
-fn guard_inner_block_tree_clean_token_false_positive() {
-    assert_eq!(
-        lint_fixture_in(Mode::Tree, "guard_inner_block_ok.rs", None),
-        vec![]
-    );
-    assert_eq!(
-        lint_fixture_in(Mode::Token, "guard_inner_block_ok.rs", None),
-        vec![(10, rules::GUARD_ACROSS_SEND)]
-    );
-}
-
-/// Full-workspace parity on the live tree: both engines, filtered to
-/// the six legacy rules, must produce identical diagnostics. CI runs
-/// this as its token-vs-tree parity gate.
-#[test]
-fn token_and_tree_engines_agree_on_live_workspace() {
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("repo root");
-    let legacy: BTreeSet<&str> = [
-        rules::AMBIENT_TIME,
-        rules::AMBIENT_ENTROPY,
-        rules::GUARD_ACROSS_SEND,
-        rules::RELAXED_ORDERING,
-        rules::HASHMAP_ITERATION,
-        rules::MODEL_DRIFT,
-    ]
-    .into_iter()
-    .collect();
-    let run = |mode: Mode| -> Vec<(String, u32, &'static str)> {
-        Workspace::discover(repo_root)
-            .expect("discover")
-            .with_mode(mode)
-            .lint()
-            .expect("lint")
-            .into_iter()
-            .filter(|d| legacy.contains(d.rule))
-            .map(|d| (d.file, d.line, d.rule))
-            .collect()
-    };
-    assert_eq!(run(Mode::Tree), run(Mode::Token));
-}
-
-// ---------------------------------------------------------------------
-// Binary exit codes: 1 = findings, 2 = internal (parse) error.
+// Binary exit codes: 1 = findings, 2 = usage or internal (parse) error.
 // ---------------------------------------------------------------------
 
 /// A structurally damaged file is exit 2 with a parse report — not a
@@ -497,8 +430,13 @@ fn binary_parse_error_exits_2() {
         err.contains("failed to parse") && err.contains("parse_error.rs.broken"),
         "stderr names the unparseable file: {err}"
     );
-    // The token engine never parses, so the same file lints (exit 0):
-    // `--token` is the escape hatch if the parser itself regresses.
+}
+
+/// There is one engine: the old `--token` fallback flag is rejected like
+/// any unknown flag, before any file is read.
+#[test]
+fn binary_rejects_token_flag() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ring-lint"))
         .current_dir(root)
         .args([
@@ -506,9 +444,14 @@ fn binary_parse_error_exits_2() {
             "--det",
             "--root",
             ".",
-            "tests/fixtures/parse_error.rs.broken",
+            "tests/fixtures/ambient_time_ok.rs",
         ])
         .output()
         .expect("ring-lint runs");
-    assert_eq!(out.status.code(), Some(0), "token engine skips parsing");
+    assert_eq!(out.status.code(), Some(2), "unknown flag is a usage error");
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(
+        err.contains("usage: ring-lint"),
+        "stderr shows usage: {err}"
+    );
 }

@@ -1,6 +1,6 @@
 //! Golden test for the ring-lint v2 parser: every `.rs` file in the
 //! workspace must parse without structural errors. This is the
-//! contract the tree-mode rules depend on — a file the parser cannot
+//! contract the lint rules depend on — a file the parser cannot
 //! walk is a file the semantic passes silently skip.
 
 use std::path::{Path, PathBuf};
