@@ -5,8 +5,13 @@
 //! until the promoted spare finished *metadata* recovery (probed with a
 //! warm-up key whose data lives in a replicated memgest), then measure
 //! the first get of the victim object — which triggers the online
-//! decode: the parity node collects `k` lane blocks from the survivors
-//! and reconstructs the range.
+//! decode. Since the late-binding read path (DESIGN §8.5) that is a
+//! speculative `k + Δ` shard read: the promoted coordinator asks the
+//! surviving lane peers and `1 + Δ` parity nodes for their rows and
+//! decodes locally from the first `k` to arrive. The paper's shape —
+//! one parity node collecting the lane blocks from the survivors and
+//! reconstructing the range (`RecoverBlock`) — remains as the fallback
+//! when the speculative read runs out of peers or time.
 //!
 //! Expected shape: latency grows with block size; SRS21 recovers faster
 //! than SRS31/SRS32 (2 blocks to collect instead of 3).

@@ -150,8 +150,12 @@ pub fn check_history_with_budget(history: &History, budget: u64) -> CheckOutcome
     }
 }
 
-/// No two distinct tags may be observed under one `(key, version)`.
-fn check_version_consistency(history: &History) -> Option<Violation> {
+/// `(key, version)` identifies exactly one write, so no two distinct
+/// tags may ever be observed under one version (Section 5.2, and the
+/// model's `AtMostOnce`/`CoordPrepare` discipline). The pre-pass of both
+/// history oracles — this checker and `ring_model::conform`. The
+/// violation carries the two clashing observations.
+pub fn check_version_consistency(history: &History) -> Option<Violation> {
     let mut seen: HashMap<(Key, Version), (Tag, &Event)> = HashMap::new();
     for e in &history.events {
         let observed: Option<(Version, Tag)> = match (&e.call, &e.outcome) {

@@ -7,11 +7,12 @@ use ring_net::{NodeId, Payload, Transport};
 use crate::config::LEADER_NODE;
 use crate::error::RingError;
 use crate::proto::{ClientReq, ClientResp, ClientTag, MetaEntry, Msg, ParitySeg};
+use crate::protocol::spec_read::{Ask, Outcome, SpecRead};
 use crate::protocol::steps;
-use crate::storage::{CoordStore, ObjectEntry, RedundantStore, Waiter};
+use crate::storage::{CoordStore, ObjectEntry, Waiter};
 use crate::types::{GroupId, Key, MemgestId, ReqId, Scheme, Version};
 
-use super::{Node, OnCommit, PendingPut, StalledPut, DEDUP_CAP};
+use super::{Node, OnCommit, PendingPut, PendingSpecRead, StalledPut, DEDUP_CAP};
 
 impl<T: Transport<Msg>> Node<T> {
     pub(crate) fn handle_request(&mut self, from: NodeId, req: ReqId, body: ClientReq) {
@@ -56,7 +57,10 @@ impl<T: Transport<Msg>> Node<T> {
                 self.ops.moves += 1;
                 self.handle_move(from, req, key, dst)
             }
-            ClientReq::Stats => self.handle_stats(from, req),
+            ClientReq::Stats => {
+                let stats = Box::new(self.node_stats());
+                self.respond((from, req), ClientResp::Stats(stats))
+            }
             ClientReq::CreateMemgest { .. }
             | ClientReq::DeleteMemgest { .. }
             | ClientReq::SetDefaultMemgest { .. }
@@ -93,25 +97,23 @@ impl<T: Transport<Msg>> Node<T> {
     /// window, so every later delivery of the same `(client, req)`
     /// (duplicate or client retry after a lost response) must observe
     /// that same answer rather than execute again.
-    pub(super) fn respond(&mut self, to: NodeId, req: ReqId, body: ClientResp) {
+    pub(super) fn respond(&mut self, client: ClientTag, body: ClientResp) {
         steps::settle_dedup(
             &mut self.dedup,
             &mut self.dedup_order,
-            (to, req),
+            client,
             body.clone(),
             DEDUP_CAP,
         );
+        let (to, req) = client;
         let _ = self.ep.send(to, Msg::Response { req, body });
     }
 
-    /// Answers `client` with `KeyNotFound`: the key was never written,
-    /// its latest version is a tombstone, or its memgest is gone.
-    fn reply_not_found(&mut self, client: ClientTag) {
-        self.respond(
-            client.0,
-            client.1,
-            ClientResp::Error(RingError::KeyNotFound),
-        );
+    /// Answers `client` with an error. `KeyNotFound` means the key was
+    /// never written, its latest version is a tombstone, or its memgest
+    /// is gone.
+    pub(super) fn fail(&mut self, client: ClientTag, err: RingError) {
+        self.respond(client, ClientResp::Error(err));
     }
 
     // ---- Put ----
@@ -130,7 +132,7 @@ impl<T: Transport<Msg>> Node<T> {
         self.dedup_open(from, req);
         let mid = memgest.unwrap_or(self.default_memgest);
         if !self.catalog.contains_key(&mid) {
-            self.respond(from, req, ClientResp::Error(RingError::UnknownMemgest(mid)));
+            self.fail((from, req), RingError::UnknownMemgest(mid));
             return;
         }
         self.local_write(g, mid, key, value, false, OnCommit::ReplyPut((from, req)));
@@ -202,92 +204,82 @@ impl<T: Transport<Msg>> Node<T> {
         let scheme = coord.desc.scheme;
         let len = value.len();
 
-        let mut parity_msgs: Vec<(NodeId, Msg)> = Vec::new();
-        let mut replicate_targets: Vec<NodeId> = Vec::new();
+        let mut msgs: Vec<(NodeId, Msg)> = Vec::new();
         let addr = match &mut coord.store {
             CoordStore::Rep { values } => {
+                let Scheme::Rep { r } = scheme else {
+                    unreachable!("replicated store")
+                };
                 if !tombstone {
                     values.insert((key, version), value.clone());
+                }
+                for t in self.config.replica_targets(g, shard, r) {
+                    let msg = Msg::Replicate {
+                        group: g,
+                        memgest: mid,
+                        key,
+                        version,
+                        value: value.clone(),
+                        tombstone,
+                    };
+                    msgs.push((t, msg));
                 }
                 usize::MAX
             }
             CoordStore::Srs { heap, layout } => {
-                let addr = if tombstone || len == 0 {
-                    heap.len()
-                } else {
-                    heap.alloc(len)
+                let Scheme::Srs { m, .. } = scheme else {
+                    unreachable!("SRS store")
                 };
-                if !tombstone && len > 0 {
+                // Tombstones and empty values carry no heap delta, but
+                // their metadata must still reach the parity nodes.
+                let live = !tombstone && len > 0;
+                let addr = if live { heap.alloc(len) } else { heap.len() };
+                let segs = if live {
                     // Versioned writes always land in fresh bump-allocated
                     // (zeroed) space, so the parity delta `new ^ old` is
                     // the value itself — no read-back or XOR needed.
                     heap.region()
                         .write(addr, &value)
                         .expect("allocated range is in bounds");
-                    let delta: &[u8] = &value;
-                    let targets = match scheme {
-                        Scheme::Srs { m, .. } => self.config.parity_targets(g, m),
-                        Scheme::Rep { .. } => unreachable!("SRS store"),
+                    layout.split_range(shard, addr, len)
+                } else {
+                    Vec::new()
+                };
+                let delta: &[u8] = &value;
+                for (p_idx, &p_node) in self.config.parity_targets(g, m).iter().enumerate() {
+                    let mut out = Vec::with_capacity(segs.len());
+                    for seg in &segs {
+                        let c = layout.coefficient(p_idx, seg);
+                        let off = seg.data_addr - addr;
+                        let payload = if c == ring_gf::Gf256::ONE && off == 0 && seg.len == len {
+                            // Unit coefficient over the whole range:
+                            // share the client's payload, zero-copy.
+                            value.clone()
+                        } else {
+                            let mut d = vec![0u8; seg.len];
+                            ring_gf::region::mul_into(&mut d, &delta[off..off + seg.len], c);
+                            Payload::from(d)
+                        };
+                        out.push(ParitySeg {
+                            parity_addr: seg.parity_addr,
+                            delta: payload,
+                        });
+                    }
+                    let meta = MetaEntry {
+                        key,
+                        version,
+                        len,
+                        addr,
+                        tombstone,
                     };
-                    let segs = layout.split_range(shard, addr, len);
-                    for (p_idx, &p_node) in targets.iter().enumerate() {
-                        let mut out = Vec::with_capacity(segs.len());
-                        for seg in &segs {
-                            let c = layout.coefficient(p_idx, seg);
-                            let off = seg.data_addr - addr;
-                            let payload = if c == ring_gf::Gf256::ONE && off == 0 && seg.len == len
-                            {
-                                // Unit coefficient over the whole range:
-                                // share the client's payload, zero-copy.
-                                value.clone()
-                            } else {
-                                let mut d = vec![0u8; seg.len];
-                                ring_gf::region::mul_into(&mut d, &delta[off..off + seg.len], c);
-                                Payload::from(d)
-                            };
-                            out.push(ParitySeg {
-                                parity_addr: seg.parity_addr,
-                                delta: payload,
-                            });
-                        }
-                        parity_msgs.push((
-                            p_node,
-                            Msg::ParityUpdate {
-                                group: g,
-                                memgest: mid,
-                                shard,
-                                meta: MetaEntry {
-                                    key,
-                                    version,
-                                    len,
-                                    addr,
-                                    tombstone,
-                                },
-                                segs: out,
-                            },
-                        ));
-                    }
-                } else if let Scheme::Srs { m, .. } = scheme {
-                    // Tombstones carry no heap delta but their metadata
-                    // must still reach the parity nodes.
-                    for &p_node in &self.config.parity_targets(g, m) {
-                        parity_msgs.push((
-                            p_node,
-                            Msg::ParityUpdate {
-                                group: g,
-                                memgest: mid,
-                                shard,
-                                meta: MetaEntry {
-                                    key,
-                                    version,
-                                    len: 0,
-                                    addr,
-                                    tombstone,
-                                },
-                                segs: Vec::new(),
-                            },
-                        ));
-                    }
+                    let msg = Msg::ParityUpdate {
+                        group: g,
+                        memgest: mid,
+                        shard,
+                        meta,
+                        segs: out,
+                    };
+                    msgs.push((p_node, msg));
                 }
                 addr
             }
@@ -296,28 +288,7 @@ impl<T: Transport<Msg>> Node<T> {
             .meta
             .insert(key, version, ObjectEntry::new(len, addr, tombstone));
 
-        if let Scheme::Rep { r } = scheme {
-            if r > 1 {
-                replicate_targets = self.config.replica_targets(g, shard, r);
-            }
-        }
-
         let needed = steps::acks_needed(scheme, self.opts.sync_replication);
-        let mut msgs: Vec<(NodeId, Msg)> = Vec::new();
-        for &t in &replicate_targets {
-            msgs.push((
-                t,
-                Msg::Replicate {
-                    group: g,
-                    memgest: mid,
-                    key,
-                    version,
-                    value: value.clone(),
-                    tombstone,
-                },
-            ));
-        }
-        msgs.extend(parity_msgs);
         for (t, msg) in &msgs {
             let _ = self.ep.send(*t, msg.clone());
         }
@@ -383,16 +354,12 @@ impl<T: Transport<Msg>> Node<T> {
         }
 
         match on_commit {
-            OnCommit::ReplyPut(client) => {
-                self.respond(client.0, client.1, ClientResp::PutOk { version })
-            }
-            OnCommit::ReplyDelete(client) => self.respond(client.0, client.1, ClientResp::DeleteOk),
-            OnCommit::ReplyMove(client) => {
-                self.respond(client.0, client.1, ClientResp::MoveOk { version })
-            }
+            OnCommit::ReplyPut(client) => self.respond(client, ClientResp::PutOk { version }),
+            OnCommit::ReplyDelete(client) => self.respond(client, ClientResp::DeleteOk),
+            OnCommit::ReplyMove(client) => self.respond(client, ClientResp::MoveOk { version }),
         }
 
-        self.release_waiters(g, mid, vec![(key, version, waiters)]);
+        self.release(g, mid, key, version, waiters);
 
         if !self.opts.keep_old_versions {
             self.prune_below(g, key, version);
@@ -404,10 +371,7 @@ impl<T: Transport<Msg>> Node<T> {
             let superseded = gs.volatile.versions(key).iter().all(|&(v, _)| v != version);
             if superseded {
                 if let Some(c) = gs.coord.get_mut(&mid) {
-                    c.meta.remove(key, version);
-                    if let crate::storage::CoordStore::Rep { values } = &mut c.store {
-                        values.remove(&(key, version));
-                    }
+                    c.forget(key, version);
                 }
             }
         }
@@ -440,10 +404,7 @@ impl<T: Transport<Msg>> Node<T> {
                     .map(|e| steps::removable(e.committed, !e.waiters.is_empty()))
                     .unwrap_or(false);
                 if removable {
-                    c.meta.remove(key, v);
-                    if let CoordStore::Rep { values } = &mut c.store {
-                        values.remove(&(key, v));
-                    }
+                    c.forget(key, v);
                 }
                 if !notices.iter().any(|(id, _)| *id == m) {
                     notices.push((m, c.desc.scheme));
@@ -471,87 +432,106 @@ impl<T: Transport<Msg>> Node<T> {
     // ---- Get ----
 
     fn handle_get(&mut self, from: NodeId, req: ReqId, key: Key) {
-        let Some(g) = self.owned_group(key) else {
-            return;
-        };
-        let gs = self.groups.get_mut(&g).expect("owned group");
-        let Some((version, mid)) = gs.volatile.highest(key) else {
-            self.reply_not_found((from, req));
-            return;
-        };
-        let Some(coord) = gs.coord.get_mut(&mid) else {
-            self.reply_not_found((from, req));
-            return;
-        };
-        let Some(entry) = coord.meta.get_mut(key, version) else {
-            self.respond(
-                from,
-                req,
-                ClientResp::Error(RingError::Internal("volatile/meta divergence".into())),
-            );
-            return;
-        };
-        let decision = steps::read_decision(&steps::ReadEntry {
-            committed: entry.committed,
-            tombstone: entry.tombstone,
-            data_present: entry.data_present,
-        });
-        if decision == steps::ReadDecision::Postpone {
-            // Postpone until the pinned version commits (Figure 5).
-            entry.waiters.push(Waiter::Get((from, req)));
-            return;
+        if let Some(g) = self.owned_group(key) {
+            self.bind_highest(g, key, Waiter::Get((from, req)));
         }
-        self.answer_get(g, mid, key, version, (from, req));
     }
 
-    /// Answers a get for a committed version, triggering on-demand data
-    /// recovery if the bytes are not locally present.
-    pub(crate) fn answer_get(
+    // ---- Read binding ----
+
+    /// Binds a get or move to the highest version of `key`, whichever
+    /// memgest holds it (Section 5.2).
+    pub(super) fn bind_highest(&mut self, g: GroupId, key: Key, waiter: Waiter) {
+        let client = waiter.client();
+        if let Waiter::Move { dst, .. } = waiter {
+            if !self.catalog.contains_key(&dst) {
+                self.fail(client, RingError::UnknownMemgest(dst));
+                return;
+            }
+        }
+        match self.groups[&g].volatile.highest(key) {
+            Some((version, mid)) => self.bind(g, mid, key, version, waiter, &mut None),
+            None => self.fail(client, RingError::KeyNotFound),
+        }
+    }
+
+    /// The one place a request bound to `(key, version)` of memgest `mid`
+    /// is served, parked, failed or sent to on-demand recovery, and
+    /// [`steps::read_decision`] alone says which: a request never
+    /// observes an uncommitted version — value or tombstone — and never
+    /// skips past it (Figure 5). `shared` carries the value materialised
+    /// for an earlier request released from the same version.
+    fn bind(
         &mut self,
         g: GroupId,
         mid: MemgestId,
         key: Key,
         version: Version,
-        client: ClientTag,
+        waiter: Waiter,
+        shared: &mut Option<Payload>,
     ) {
+        let client = waiter.client();
         let gs = self.groups.get_mut(&g).expect("owned group");
-        let shard = gs.shard.expect("coordinator");
-        let Some(coord) = gs.coord.get_mut(&mid) else {
-            self.reply_not_found(client);
+        let entry = gs.coord.get_mut(&mid).and_then(|coord| {
+            let entry = coord.meta.get_mut(key, version)?;
+            Some((entry, &coord.store))
+        });
+        let Some((entry, store)) = entry else {
+            self.fail(client, RingError::KeyNotFound);
             return;
         };
-        let scheme = coord.desc.scheme;
-        let Some(entry) = coord.meta.get_mut(key, version) else {
-            self.reply_not_found(client);
-            return;
-        };
-        // `answer_get` is only reached for committed versions, so the
-        // decision here splits tombstone / serve / recover.
         match steps::read_decision(&steps::ReadEntry {
-            committed: true,
+            committed: entry.committed,
             tombstone: entry.tombstone,
             data_present: entry.data_present,
         }) {
-            steps::ReadDecision::NotFound => {
-                self.reply_not_found(client);
-                return;
-            }
+            steps::ReadDecision::NotFound => self.fail(client, RingError::KeyNotFound),
+            steps::ReadDecision::Postpone => entry.waiters.push(waiter),
             steps::ReadDecision::Serve => {
-                let value = coord.store.read_value(key, version, entry);
-                self.respond(client.0, client.1, ClientResp::GetOk { value, version });
-                return;
+                let value = shared
+                    .get_or_insert_with(|| store.read_value(key, version, entry))
+                    .clone();
+                match waiter {
+                    Waiter::Get(_) => self.respond(client, ClientResp::GetOk { value, version }),
+                    // All local: no distributed transaction needed — the
+                    // benefit of the shared SRS key-to-node mapping
+                    // (Section 5.2).
+                    Waiter::Move { dst, .. } => {
+                        self.local_write(g, dst, key, value, false, OnCommit::ReplyMove(client))
+                    }
+                }
             }
-            steps::ReadDecision::Postpone | steps::ReadDecision::Recover => {}
+            steps::ReadDecision::Recover => {
+                // Lost data: recover on the fly with high priority
+                // (Section 5.5).
+                entry.waiters.push(waiter);
+                self.fetch(g, mid, key, version, true);
+            }
         }
-        // Lost data: recover on the fly with high priority (Section 5.5).
-        let need_fetch = !entry.fetching;
-        entry.fetching = true;
-        entry.waiters.push(Waiter::Get(client));
-        let (addr, len) = (entry.addr, entry.len);
-        let attempt = entry.fetch_attempts;
-        entry.fetch_attempts = entry.fetch_attempts.wrapping_add(1);
-        if need_fetch {
-            self.request_data_recovery(g, shard, mid, scheme, key, version, addr, len, attempt);
+    }
+
+    /// Re-binds the requests parked on `(key, version)` once it committed
+    /// or its bytes returned. Gets stay pinned to that version and share
+    /// one materialised `Arc`-backed payload, however many clients piled
+    /// onto the entry; a move reads the key's highest version, which may
+    /// have moved on.
+    pub(super) fn release(
+        &mut self,
+        g: GroupId,
+        mid: MemgestId,
+        key: Key,
+        version: Version,
+        mut waiters: Vec<Waiter>,
+    ) {
+        // Gets first: a released move's destination write can commit at
+        // once and prune this version from under the gets pinned to it.
+        waiters.sort_by_key(|w| matches!(w, Waiter::Move { .. }));
+        let mut shared = None;
+        for w in waiters {
+            match w {
+                Waiter::Get(_) => self.bind(g, mid, key, version, w, &mut shared),
+                Waiter::Move { .. } => self.bind_highest(g, key, w),
+            }
         }
     }
 
@@ -564,7 +544,7 @@ impl<T: Transport<Msg>> Node<T> {
         self.dedup_open(from, req);
         let gs = self.groups.get_mut(&g).expect("owned group");
         let Some((version, mid)) = gs.volatile.highest(key) else {
-            self.reply_not_found((from, req));
+            self.fail((from, req), RingError::KeyNotFound);
             return;
         };
         // Deleting a key whose latest version is already a tombstone is
@@ -576,7 +556,7 @@ impl<T: Transport<Msg>> Node<T> {
             .map(|e| e.tombstone)
             .unwrap_or(false);
         if already_deleted {
-            self.reply_not_found((from, req));
+            self.fail((from, req), RingError::KeyNotFound);
             return;
         }
         // A delete is a tombstone written to the memgest currently
@@ -594,62 +574,16 @@ impl<T: Transport<Msg>> Node<T> {
 
     // ---- Move ----
 
+    /// A move reads the object from the memgest holding the highest
+    /// version, which requires that version to be committed and its data
+    /// locally available (Section 5.2): the same binding as a get.
     fn handle_move(&mut self, from: NodeId, req: ReqId, key: Key, dst: MemgestId) {
         let Some(g) = self.owned_group(key) else {
             return;
         };
         self.dedup_open(from, req);
-        if !self.catalog.contains_key(&dst) {
-            self.respond(from, req, ClientResp::Error(RingError::UnknownMemgest(dst)));
-            return;
-        }
-        self.do_move(g, key, dst, (from, req));
-    }
-
-    /// Executes (or parks) a move: the object must be read from the
-    /// memgest holding the highest version, which requires that version
-    /// to be committed and its data locally available (Section 5.2).
-    pub(crate) fn do_move(&mut self, g: GroupId, key: Key, dst: MemgestId, client: ClientTag) {
-        let gs = self.groups.get_mut(&g).expect("owned group");
-        let shard = gs.shard.expect("coordinator");
-        let Some((version, src)) = gs.volatile.highest(key) else {
-            self.reply_not_found(client);
-            return;
-        };
-        let Some(coord) = gs.coord.get_mut(&src) else {
-            self.reply_not_found(client);
-            return;
-        };
-        let scheme = coord.desc.scheme;
-        let Some(entry) = coord.meta.get_mut(key, version) else {
-            self.reply_not_found(client);
-            return;
-        };
-        if entry.tombstone {
-            self.reply_not_found(client);
-            return;
-        }
-        if !entry.committed {
-            // The move will resume when the version commits.
-            entry.waiters.push(Waiter::Move { client, dst });
-            return;
-        }
-        if !entry.data_present {
-            let need_fetch = !entry.fetching;
-            entry.fetching = true;
-            entry.waiters.push(Waiter::Move { client, dst });
-            let (addr, len) = (entry.addr, entry.len);
-            let attempt = entry.fetch_attempts;
-            entry.fetch_attempts = entry.fetch_attempts.wrapping_add(1);
-            if need_fetch {
-                self.request_data_recovery(g, shard, src, scheme, key, version, addr, len, attempt);
-            }
-            return;
-        }
-        // All local: no distributed transaction needed — the benefit of
-        // the shared SRS key-to-node mapping (Section 5.2).
-        let value = coord.store.read_value(key, version, entry);
-        self.local_write(g, dst, key, value, false, OnCommit::ReplyMove(client));
+        let client = (from, req);
+        self.bind_highest(g, key, Waiter::Move { client, dst });
     }
 
     /// Flushes the stalled-put queue of a memgest after a parity rebuild
@@ -658,9 +592,8 @@ impl<T: Transport<Msg>> Node<T> {
         let Some(gs) = self.groups.get_mut(&g) else {
             return;
         };
-        let shard = match gs.shard {
-            Some(s) => s,
-            None => return,
+        let Some(shard) = gs.shard else {
+            return;
         };
         if let Some(c) = gs.coord.get_mut(&mid) {
             c.stalled = false;
@@ -689,175 +622,115 @@ impl<T: Transport<Msg>> Node<T> {
         }
     }
 
-    /// Sends the on-demand recovery request for a missing value,
-    /// speculatively fanning out to `1 + Δ` redundancy targets (rotated
-    /// by attempt number so a dead or still-rebuilding holder cannot
-    /// wedge the waiters) and binding to whichever answers first.
-    #[allow(clippy::too_many_arguments)]
-    fn request_data_recovery(
-        &mut self,
-        g: GroupId,
-        shard: usize,
-        mid: MemgestId,
-        scheme: Scheme,
-        key: Key,
-        version: Version,
-        addr: usize,
-        len: usize,
-        attempt: u8,
-    ) {
+    // ---- On-demand data recovery ----
+
+    /// Drives the on-demand fetch of a lost `(key, version)` as
+    /// [`steps::fetch_decision`] says — the only place the entry's
+    /// `fetching` flag is raised and its attempt counter advances.
+    /// `requested` marks a client request that has just parked on the
+    /// entry; callers that saw the previous fetch fail clear `fetching`
+    /// first. Each attempt speculatively fans out to `1 + Δ` redundancy
+    /// targets, rotated by attempt number so a dead or still-rebuilding
+    /// holder cannot wedge the waiters, and binds to whichever answers
+    /// first.
+    fn fetch(&mut self, g: GroupId, mid: MemgestId, key: Key, version: Version, requested: bool) {
+        let Some(gs) = self.groups.get_mut(&g) else {
+            return;
+        };
+        let (Some(shard), Some(coord)) = (gs.shard, gs.coord.get_mut(&mid)) else {
+            return;
+        };
+        let scheme = coord.desc.scheme;
+        let Some(entry) = coord.meta.get_mut(key, version) else {
+            return;
+        };
+        let attempt = match steps::fetch_decision(entry.fetching, entry.fetch_attempts, requested) {
+            steps::FetchDecision::InFlight => return,
+            steps::FetchDecision::Issue(attempt) => attempt,
+            steps::FetchDecision::GiveUp => {
+                for w in std::mem::take(&mut entry.waiters) {
+                    self.fail(w.client(), RingError::Unavailable("value copy lost".into()));
+                }
+                return;
+            }
+        };
+        entry.fetching = true;
+        entry.fetch_attempts = attempt.wrapping_add(1);
+        let (addr, len) = (entry.addr, entry.len);
         match scheme {
             Scheme::Rep { r } => {
+                // Ask 1 + Δ distinct replicas at once; the first copy to
+                // arrive wins, later ones are idempotent.
                 let targets = self.config.replica_targets(g, shard, r);
-                if !targets.is_empty() {
-                    // Ask 1 + Δ distinct replicas at once; the first
-                    // copy to arrive wins, later ones are idempotent.
-                    let fanout = (1 + self.opts.read_fanout_extra).min(targets.len());
-                    for c in 0..fanout {
-                        let target = targets[(attempt as usize + c) % targets.len()];
-                        let _ = self.ep.send(
-                            target,
-                            Msg::FetchValue {
-                                group: g,
-                                memgest: mid,
-                                key,
-                                version,
-                            },
-                        );
-                    }
-                }
-            }
-            Scheme::Srs { m, .. } => {
-                if self.start_spec_read(g, shard, mid, addr, len, attempt) {
-                    return;
-                }
-                // Degenerate range (or no parity targets): the delegated
-                // single-parity decode still covers it.
-                let targets = self.config.parity_targets(g, m);
-                if !targets.is_empty() {
-                    let parity = targets[attempt as usize % targets.len()];
+                let fanout = (1 + self.opts.read_fanout_extra).min(targets.len());
+                for c in 0..fanout {
+                    let target = targets[(attempt as usize + c) % targets.len()];
                     let _ = self.ep.send(
-                        parity,
-                        Msg::RecoverBlock {
+                        target,
+                        Msg::FetchValue {
                             group: g,
                             memgest: mid,
-                            shard,
-                            addr,
-                            len,
+                            key,
+                            version,
                         },
                     );
                 }
             }
+            Scheme::Srs { m, .. } => {
+                let CoordStore::Srs { layout, .. } = &coord.store else {
+                    unreachable!("SRS store")
+                };
+                let coordinators: Vec<NodeId> = (0..self.config.s)
+                    .map(|i| self.config.coordinator(g, i))
+                    .collect();
+                let parity_nodes = self.config.parity_targets(g, m);
+                let fanout = 1 + self.opts.read_fanout_extra;
+                let plan = SpecRead::plan(
+                    layout,
+                    shard,
+                    addr,
+                    len,
+                    &coordinators,
+                    &parity_nodes,
+                    fanout,
+                    attempt,
+                );
+                let Some((read, asks)) = plan else {
+                    // Degenerate range (or no parity targets): the
+                    // delegated single-parity decode still covers it.
+                    self.recover_block(g, mid, addr, len, attempt);
+                    return;
+                };
+                let token = self.next_spec_token;
+                self.next_spec_token += 1;
+                self.spec_reads.insert(
+                    token,
+                    PendingSpecRead {
+                        group: g,
+                        memgest: mid,
+                        attempt,
+                        sent_at: ring_net::clock::now(),
+                        read,
+                    },
+                );
+                self.send_shard_reads(g, mid, token, asks);
+            }
         }
     }
 
-    /// Starts a speculative `k + Δ` shard read for a lost SRS heap range:
-    /// requests the `k - 1` surviving lane blocks from the peer
-    /// coordinators plus the matching parity bytes from `1 + Δ` parity
-    /// nodes, and decodes locally from whichever `k` stripe rows arrive
-    /// first ([`Node::handle_shard_read_resp`]). Returns `false` when the
-    /// fan-out cannot be built (empty range, no parity targets, unknown
-    /// memgest) and the caller should fall back to the delegated decode.
-    fn start_spec_read(
-        &mut self,
-        g: GroupId,
-        shard: usize,
-        mid: MemgestId,
-        addr: usize,
-        len: usize,
-        attempt: u8,
-    ) -> bool {
-        use super::{SpecPeer, SpecRead};
-        let Some(coord) = self.groups.get(&g).and_then(|gs| gs.coord.get(&mid)) else {
-            return false;
-        };
-        let CoordStore::Srs { layout, .. } = &coord.store else {
-            return false;
-        };
-        let segs = layout.split_range(shard, addr, len);
-        if segs.is_empty() {
-            return false;
-        }
-        let params = layout.code().params();
-        let (k, m) = (params.k, params.m);
-        let parity_nodes = self.config.parity_targets(g, m);
-        if parity_nodes.is_empty() {
-            return false;
-        }
-        // The surviving lane peers: every stripe row of each segment
-        // except our own (each data source lives on exactly one peer
-        // coordinator, so these rows have a single possible server).
-        let mut peers: std::collections::BTreeMap<NodeId, SpecPeer> =
-            std::collections::BTreeMap::new();
-        for (i, seg) in segs.iter().enumerate() {
-            for j in 0..k {
-                if j == seg.source {
-                    continue;
-                }
-                let (peer_idx, peer_addr) = layout.peer_addr(seg, j);
-                let node = self.config.coordinator(g, peer_idx);
-                let p = peers.entry(node).or_insert_with(|| SpecPeer {
-                    parts: Vec::new(),
-                    ranges: Vec::new(),
-                    parity: false,
-                });
-                p.parts.push((i, j));
-                p.ranges.push((peer_addr, seg.len));
-            }
-        }
-        // 1 + Δ parity nodes (rotated by attempt); the rest stay in
-        // reserve, promoted one at a time if a contacted peer declines.
-        let fanout = (1 + self.opts.read_fanout_extra).min(parity_nodes.len());
-        let mut reserve = Vec::new();
-        for c in 0..parity_nodes.len() {
-            let p_idx = (attempt as usize + c) % parity_nodes.len();
-            let node = parity_nodes[p_idx];
-            if c < fanout {
-                let p = peers.entry(node).or_insert_with(|| SpecPeer {
-                    parts: Vec::new(),
-                    ranges: Vec::new(),
-                    parity: true,
-                });
-                for (i, seg) in segs.iter().enumerate() {
-                    p.parts.push((i, k + p_idx));
-                    p.ranges.push((seg.parity_addr, seg.len));
-                }
-            } else {
-                reserve.push((p_idx, node));
-            }
-        }
-        let token = self.next_spec_token;
-        self.next_spec_token += 1;
-        for (&node, p) in &peers {
+    fn send_shard_reads(&mut self, g: GroupId, mid: MemgestId, token: u64, asks: Vec<Ask>) {
+        for ask in asks {
             let _ = self.ep.send(
-                node,
+                ask.to,
                 Msg::ShardRead {
                     group: g,
                     memgest: mid,
                     token,
-                    parity: p.parity,
-                    ranges: p.ranges.clone(),
+                    parity: ask.parity,
+                    ranges: ask.ranges,
                 },
             );
         }
-        self.spec_reads.insert(
-            token,
-            SpecRead {
-                group: g,
-                memgest: mid,
-                addr,
-                len,
-                segs,
-                k,
-                peers,
-                responses: std::collections::BTreeMap::new(),
-                declined: std::collections::BTreeSet::new(),
-                reserve,
-                attempt,
-                sent_at: ring_net::clock::now(),
-            },
-        );
-        true
     }
 
     /// Fan-in of a speculative shard read. Responses for unknown tokens
@@ -877,168 +750,29 @@ impl<T: Transport<Msg>> Node<T> {
         if sr.group != g || sr.memgest != mid {
             return;
         }
-        let Some(peer) = sr.peers.get(&from) else {
+        let store = self.groups.get(&g).and_then(|gs| gs.coord.get(&mid));
+        let Some(CoordStore::Srs { layout, .. }) = store.map(|c| &c.store) else {
+            self.spec_reads.remove(&token); // The memgest is gone: moot.
             return;
         };
-        if sr.responses.contains_key(&from) || sr.declined.contains(&from) {
-            return; // Duplicate delivery.
-        }
-        let expected: usize = peer.ranges.iter().map(|&(_, len)| len).sum();
-        match bytes {
-            Some(b) if b.len() == expected => {
-                sr.responses.insert(from, b);
-            }
-            _ => {
-                sr.declined.insert(from);
-            }
-        }
-        self.advance_spec_read(token);
-    }
-
-    /// Tries to decode; if the read is still short of `k` rows for some
-    /// segment, promotes reserve parities to keep it satisfiable, or
-    /// abandons it for the delegated-decode fallback.
-    fn advance_spec_read(&mut self, token: u64) {
-        if self.try_complete_spec_read(token) {
-            return;
-        }
-        let mut sends: Vec<(NodeId, Msg)> = Vec::new();
-        let mut fall_back = false;
-        {
-            let Some(sr) = self.spec_reads.get_mut(&token) else {
-                return;
-            };
-            loop {
-                let live: Vec<&[(usize, usize)]> = sr
-                    .peers
-                    .iter()
-                    .filter(|(node, _)| !sr.declined.contains(node))
-                    .map(|(_, peer)| peer.parts.as_slice())
-                    .collect();
-                let feasible = steps::spec_read_feasible(sr.segs.len(), sr.k, &live);
-                if feasible {
-                    break;
-                }
-                let Some((p_idx, node)) = sr.reserve.pop() else {
-                    fall_back = true;
-                    break;
-                };
-                let mut peer = super::SpecPeer {
-                    parts: Vec::new(),
-                    ranges: Vec::new(),
-                    parity: true,
-                };
-                for (i, seg) in sr.segs.iter().enumerate() {
-                    peer.parts.push((i, sr.k + p_idx));
-                    peer.ranges.push((seg.parity_addr, seg.len));
-                }
-                sends.push((
-                    node,
-                    Msg::ShardRead {
-                        group: sr.group,
-                        memgest: sr.memgest,
-                        token,
-                        parity: true,
-                        ranges: peer.ranges.clone(),
-                    },
-                ));
-                sr.peers.insert(node, peer);
-            }
-        }
-        if fall_back {
-            let sr = self.spec_reads.remove(&token).expect("present");
-            self.spec_read_fallback(sr);
-            return;
-        }
-        for (node, msg) in sends {
-            let _ = self.ep.send(node, msg);
-        }
-    }
-
-    /// Attempts the late-binding decode: succeeds the moment every
-    /// segment has `k` distinct stripe rows among the arrived responses.
-    /// Returns `true` when the spec read is finished (installed or moot).
-    fn try_complete_spec_read(&mut self, token: u64) -> bool {
-        let decoded = {
-            let Some(sr) = self.spec_reads.get(&token) else {
-                return true;
-            };
-            let Some(coord) = self
-                .groups
-                .get(&sr.group)
-                .and_then(|gs| gs.coord.get(&sr.memgest))
-            else {
+        let outcome = sr.read.on_response(layout.code().rs(), from, bytes);
+        let ((addr, len), attempt) = (sr.read.range(), sr.attempt);
+        match outcome {
+            Outcome::Wait => {}
+            Outcome::Ask(asks) => self.send_shard_reads(g, mid, token, asks),
+            Outcome::Decoded(bytes) => {
                 self.spec_reads.remove(&token);
-                return true;
-            };
-            let CoordStore::Srs { layout, .. } = &coord.store else {
-                self.spec_reads.remove(&token);
-                return true;
-            };
-            let rs = layout.code().rs();
-            let mut out = vec![0u8; sr.len];
-            for (i, seg) in sr.segs.iter().enumerate() {
-                let mut have: Vec<(usize, &[u8])> = Vec::new();
-                for (node, payload) in &sr.responses {
-                    let peer = &sr.peers[node];
-                    let mut off = 0usize;
-                    for (&(si, row), &(_, rlen)) in peer.parts.iter().zip(peer.ranges.iter()) {
-                        if si == i {
-                            have.push((row, &payload[off..off + rlen]));
-                        }
-                        off += rlen;
-                    }
-                }
-                match rs.recover_source(seg.source, &have) {
-                    Ok(bytes) => {
-                        let off = seg.data_addr - sr.addr;
-                        out[off..off + seg.len].copy_from_slice(&bytes);
-                    }
-                    Err(_) => return false, // Short of k rows so far.
-                }
+                self.install_recovered_range(g, mid, addr, &bytes);
             }
-            out
-        };
-        let sr = self.spec_reads.remove(&token).expect("present");
-        self.install_recovered_range(sr.group, sr.memgest, sr.addr, &decoded);
-        true
-    }
-
-    /// Abandons a speculative read in favour of the pre-speculation
-    /// path: a delegated decode at a single parity node (which gathers
-    /// the lane blocks itself with one-sided reads).
-    fn spec_read_fallback(&mut self, sr: super::SpecRead) {
-        let Some(gs) = self.groups.get(&sr.group) else {
-            return;
-        };
-        let Some(shard) = gs.shard else {
-            return;
-        };
-        let Some(coord) = gs.coord.get(&sr.memgest) else {
-            return;
-        };
-        let Scheme::Srs { m, .. } = coord.desc.scheme else {
-            return;
-        };
-        let targets = self.config.parity_targets(sr.group, m);
-        if targets.is_empty() {
-            return;
+            Outcome::FallBack => {
+                self.spec_reads.remove(&token);
+                self.recover_block(g, mid, addr, len, attempt);
+            }
         }
-        let parity = targets[sr.attempt as usize % targets.len()];
-        let _ = self.ep.send(
-            parity,
-            Msg::RecoverBlock {
-                group: sr.group,
-                memgest: sr.memgest,
-                shard,
-                addr: sr.addr,
-                len: sr.len,
-            },
-        );
     }
 
     /// Expires speculative reads whose stragglers never arrived (dead
-    /// links), handing the range to the fallback path.
+    /// links), handing the range to the delegated decode.
     pub(crate) fn expire_spec_reads(&mut self, now: std::time::Instant) {
         const SPEC_RETRY: std::time::Duration = std::time::Duration::from_millis(150);
         let expired: Vec<u64> = self
@@ -1049,8 +783,40 @@ impl<T: Transport<Msg>> Node<T> {
             .collect();
         for t in expired {
             let sr = self.spec_reads.remove(&t).expect("present");
-            self.spec_read_fallback(sr);
+            let (addr, len) = sr.read.range();
+            self.recover_block(sr.group, sr.memgest, addr, len, sr.attempt);
         }
+    }
+
+    /// The pre-speculation path (Section 5.5, Figure 13): asks a single
+    /// parity node, rotated by `attempt`, for a delegated decode — it
+    /// gathers the lane blocks itself with one-sided reads. Covers the
+    /// ranges a speculative read cannot plan and the reads it abandons.
+    fn recover_block(&mut self, g: GroupId, mid: MemgestId, addr: usize, len: usize, attempt: u8) {
+        let Some(gs) = self.groups.get(&g) else {
+            return;
+        };
+        let (Some(shard), Some(coord)) = (gs.shard, gs.coord.get(&mid)) else {
+            return;
+        };
+        let Scheme::Srs { m, .. } = coord.desc.scheme else {
+            return;
+        };
+        let targets = self.config.parity_targets(g, m);
+        if targets.is_empty() {
+            return;
+        }
+        let parity = targets[attempt as usize % targets.len()];
+        let _ = self.ep.send(
+            parity,
+            Msg::RecoverBlock {
+                group: g,
+                memgest: mid,
+                shard,
+                addr,
+                len,
+            },
+        );
     }
 
     /// Writes a recovered byte range into the SRS heap, marks every
@@ -1080,75 +846,16 @@ impl<T: Transport<Msg>> Node<T> {
         } else {
             return;
         }
-        let recovered: Vec<(Key, Version)> = coord
-            .meta
-            .iter()
-            .filter(|(_, _, e)| !e.data_present && e.addr >= addr && e.addr + e.len <= end)
-            .map(|(k, v, _)| (k, v))
-            .collect();
         let mut releases = Vec::new();
-        for (k, v) in recovered {
-            if let Some(e) = coord.meta.get_mut(k, v) {
+        for (k, v, e) in coord.meta.iter_mut() {
+            if !e.data_present && e.addr >= addr && e.addr + e.len <= end {
                 e.data_present = true;
                 e.fetching = false;
                 releases.push((k, v, std::mem::take(&mut e.waiters)));
             }
         }
-        self.release_waiters(g, mid, releases);
-    }
-
-    /// Reads the committed value of `(key, version)` if it is locally
-    /// present and live; `None` sends the caller down the slow per-waiter
-    /// path.
-    fn read_committed_value(
-        &self,
-        g: GroupId,
-        mid: MemgestId,
-        key: Key,
-        version: Version,
-    ) -> Option<Payload> {
-        let gs = self.groups.get(&g)?;
-        let coord = gs.coord.get(&mid)?;
-        let e = coord.meta.get(key, version)?;
-        if e.tombstone || !e.committed || !e.data_present {
-            return None;
-        }
-        Some(coord.store.read_value(key, version, e))
-    }
-
-    /// Releases parked requests after an entry's bytes became available,
-    /// materializing each value once and answering every parked get with
-    /// a clone of the same `Arc`-backed payload — the fan-in stays
-    /// zero-copy no matter how many clients piled onto the entry.
-    pub(crate) fn release_waiters(
-        &mut self,
-        g: GroupId,
-        mid: MemgestId,
-        releases: Vec<(Key, Version, Vec<Waiter>)>,
-    ) {
-        for (key, version, waiters) in releases {
-            let mut shared: Option<Payload> = None;
-            for w in waiters {
-                match w {
-                    Waiter::Get(client) => {
-                        if shared.is_none() {
-                            shared = self.read_committed_value(g, mid, key, version);
-                        }
-                        match &shared {
-                            Some(v) => {
-                                let value = v.clone();
-                                self.respond(
-                                    client.0,
-                                    client.1,
-                                    ClientResp::GetOk { value, version },
-                                );
-                            }
-                            None => self.answer_get(g, mid, key, version, client),
-                        }
-                    }
-                    Waiter::Move { client, dst } => self.do_move(g, key, dst, client),
-                }
-            }
+        for (k, v, waiters) in releases {
+            self.release(g, mid, k, v, waiters);
         }
     }
 
@@ -1161,40 +868,23 @@ impl<T: Transport<Msg>> Node<T> {
         version: Version,
         value: Option<Payload>,
     ) {
-        let Some(gs) = self.groups.get_mut(&g) else {
-            return;
-        };
-        let Some(coord) = gs.coord.get_mut(&mid) else {
+        let coord = self
+            .groups
+            .get_mut(&g)
+            .and_then(|gs| gs.coord.get_mut(&mid));
+        let Some(coord) = coord else {
             return;
         };
         let Some(entry) = coord.meta.get_mut(key, version) else {
             return;
         };
+        if entry.data_present {
+            return; // Another copy of the 1 + Δ fan-out already won.
+        }
         entry.fetching = false;
         let Some(value) = value else {
-            // This replica did not have the copy: retry the remaining
-            // targets a few times, then fail the waiters.
-            if !entry.waiters.is_empty() && entry.fetch_attempts < 8 {
-                let scheme = coord.desc.scheme;
-                let shard = gs.shard.expect("coordinator");
-                let coord = gs.coord.get_mut(&mid).expect("just looked up");
-                let entry = coord.meta.get_mut(key, version).expect("just looked up");
-                entry.fetching = true;
-                let attempt = entry.fetch_attempts;
-                entry.fetch_attempts = entry.fetch_attempts.wrapping_add(1);
-                let (addr, len) = (entry.addr, entry.len);
-                self.request_data_recovery(g, shard, mid, scheme, key, version, addr, len, attempt);
-                return;
-            }
-            let waiters = std::mem::take(&mut entry.waiters);
-            for w in waiters {
-                let (Waiter::Get(client) | Waiter::Move { client, .. }) = w;
-                self.respond(
-                    client.0,
-                    client.1,
-                    ClientResp::Error(RingError::Unavailable("value copy lost".into())),
-                );
-            }
+            // This replica did not have the copy: try the next ones.
+            self.fetch(g, mid, key, version, false);
             return;
         };
         entry.data_present = true;
@@ -1202,7 +892,7 @@ impl<T: Transport<Msg>> Node<T> {
         if let CoordStore::Rep { values } = &mut coord.store {
             values.insert((key, version), value);
         }
-        self.release_waiters(g, mid, vec![(key, version, waiters)]);
+        self.release(g, mid, key, version, waiters);
     }
 
     /// Handles a decoded block arriving from a parity node.
@@ -1213,118 +903,28 @@ impl<T: Transport<Msg>> Node<T> {
         addr: usize,
         bytes: Option<Payload>,
     ) {
-        let Some(gs) = self.groups.get_mut(&g) else {
+        if let Some(bytes) = bytes {
+            self.install_recovered_range(g, mid, addr, &bytes);
             return;
-        };
-        let Some(coord) = gs.coord.get_mut(&mid) else {
-            return;
-        };
-        // Write the recovered range into the heap, then release every
-        // entry fully contained in it.
-        let Some(bytes) = bytes else {
-            // The parity could not serve (dead link or mid-rebuild):
-            // retry the range against the next parity target.
-            let scheme = coord.desc.scheme;
-            let shard = match gs.shard {
-                Some(s) => s,
-                None => return,
-            };
-            let retry: Vec<(Key, Version, usize, usize, u8)> = coord
-                .meta
-                .iter()
-                .filter(|(_, _, e)| e.fetching && !e.data_present && e.addr >= addr)
-                .map(|(k, v, e)| (k, v, e.addr, e.len, e.fetch_attempts))
-                .collect();
-            for &(k, v, _, _, _) in &retry {
-                if let Some(e) = coord.meta.get_mut(k, v) {
-                    e.fetch_attempts = e.fetch_attempts.wrapping_add(1);
-                }
-            }
-            for (k, v, a, l, attempt) in retry {
-                if attempt >= 8 {
-                    continue;
-                }
-                self.request_data_recovery(g, shard, mid, scheme, k, v, a, l, attempt);
-            }
-            return;
-        };
-        self.install_recovered_range(g, mid, addr, &bytes);
-    }
-
-    /// Builds and returns this node's introspection report.
-    fn handle_stats(&mut self, from: NodeId, req: ReqId) {
-        let stats = self.build_stats();
-        self.respond(from, req, ClientResp::Stats(Box::new(stats)));
-    }
-
-    /// Builds the node's statistics report (shared by the `Stats` client
-    /// call and the graceful-shutdown JSON dump).
-    pub(crate) fn build_stats(&self) -> crate::stats::NodeStats {
-        use crate::stats::{GroupStats, MemgestStats, NodeStats};
-        use crate::storage::RedundantStore as RS;
-        let mut groups = Vec::new();
-        let mut gids: Vec<_> = self.groups.keys().copied().collect();
-        gids.sort_unstable();
-        for g in gids {
-            let gs = &self.groups[&g];
-            let mut ids: Vec<crate::types::MemgestId> = gs
-                .coord
-                .keys()
-                .chain(gs.redundant.keys())
-                .copied()
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            let mut memgests = Vec::with_capacity(ids.len());
-            for id in ids {
-                let mut row = MemgestStats {
-                    id,
-                    ..MemgestStats::default()
-                };
-                if let Some(c) = gs.coord.get(&id) {
-                    row.scheme = crate::stats::scheme_label(c.desc.scheme);
-                    row.coord_meta_entries = c.meta.len();
-                    row.missing_entries = c
-                        .meta
-                        .iter()
-                        .filter(|(_, _, e)| !e.data_present && !e.tombstone)
-                        .count();
-                    row.coord_meta_bytes = c.meta.approx_bytes();
-                    row.data_bytes = match &c.store {
-                        // ring-lint: allow(hashmap-iteration) -- order-insensitive byte sum
-                        CoordStore::Rep { values } => values.values().map(|v| v.len()).sum(),
-                        CoordStore::Srs { heap, .. } => heap.len(),
-                    };
-                }
-                if let Some(r) = gs.redundant.get(&id) {
-                    if row.scheme.is_empty() {
-                        row.scheme = crate::stats::scheme_label(r.desc.scheme);
-                    }
-                    row.redundant_meta_entries = r.meta.len();
-                    match &r.store {
-                        RS::Rep { values } => {
-                            // ring-lint: allow(hashmap-iteration) -- order-insensitive byte sum
-                            row.replica_bytes = values.values().map(|v| v.len()).sum();
-                        }
-                        RS::Parity { len, .. } => row.parity_bytes = *len,
-                    }
-                }
-                memgests.push(row);
-            }
-            groups.push(GroupStats {
-                group: g,
-                shard: gs.shard,
-                redundant_index: gs.red_idx,
-                volatile_keys: gs.volatile.keys(),
-                memgests,
-            });
         }
-        NodeStats {
-            node: self.id,
-            epoch: self.config.epoch,
-            active: self.active && self.recovering == 0,
-            ops: self.ops,
-            groups,
+        // The parity could not serve (dead link or peer, or mid-rebuild):
+        // retry the range against the next parity target.
+        let coord = self
+            .groups
+            .get_mut(&g)
+            .and_then(|gs| gs.coord.get_mut(&mid));
+        let Some(coord) = coord else {
+            return;
+        };
+        let mut retry = Vec::new();
+        for (k, v, e) in coord.meta.iter_mut() {
+            if e.fetching && !e.data_present && e.addr >= addr {
+                e.fetching = false;
+                retry.push((k, v));
+            }
+        }
+        for (k, v) in retry {
+            self.fetch(g, mid, k, v, false);
         }
     }
 
@@ -1333,72 +933,27 @@ impl<T: Transport<Msg>> Node<T> {
     /// and on-demand decodes keep priority.
     pub(crate) fn background_recovery_sweep(&mut self) {
         const PER_SWEEP: usize = 4;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        let mut issued = 0usize;
-        for g in groups {
-            let Some(gs) = self.groups.get(&g) else {
+        let idle = |e: &ObjectEntry| {
+            let d = steps::fetch_decision(e.fetching, e.fetch_attempts, false);
+            matches!(d, steps::FetchDecision::Issue(_))
+        };
+        let mut picked: Vec<(GroupId, MemgestId, Key, Version)> = Vec::new();
+        for (&g, gs) in &self.groups {
+            if gs.shard.is_none() {
                 continue;
-            };
-            let Some(shard) = gs.shard else { continue };
-            let mids: Vec<MemgestId> = gs.coord.keys().copied().collect();
-            for mid in mids {
-                if issued >= PER_SWEEP {
-                    return;
-                }
-                let gs = self.groups.get_mut(&g).expect("group exists");
-                let Some(coord) = gs.coord.get_mut(&mid) else {
-                    continue;
-                };
-                let scheme = coord.desc.scheme;
-                let candidates: Vec<(Key, Version, usize, usize, u8)> = coord
+            }
+            for (&mid, coord) in &gs.coord {
+                let missing = coord
                     .meta
                     .iter()
-                    .filter(|(_, _, e)| {
-                        !e.data_present && !e.tombstone && !e.fetching && e.fetch_attempts < 8
-                    })
-                    .take(PER_SWEEP - issued)
-                    .map(|(k, v, e)| (k, v, e.addr, e.len, e.fetch_attempts))
-                    .collect();
-                for &(k, v, _, _, _) in &candidates {
-                    if let Some(e) = coord.meta.get_mut(k, v) {
-                        e.fetching = true;
-                        e.fetch_attempts = e.fetch_attempts.wrapping_add(1);
-                    }
-                }
-                for (k, v, addr, len, attempt) in candidates {
-                    self.request_data_recovery(g, shard, mid, scheme, k, v, addr, len, attempt);
-                    issued += 1;
-                }
+                    .filter(|(_, _, e)| !e.data_present && !e.tombstone && idle(e))
+                    .take(PER_SWEEP - picked.len())
+                    .map(|(k, v, _)| (g, mid, k, v));
+                picked.extend(missing);
             }
         }
-    }
-
-    /// Serves a replica's value copy to a recovering coordinator.
-    pub(crate) fn handle_fetch_value(
-        &mut self,
-        from: NodeId,
-        g: GroupId,
-        mid: MemgestId,
-        key: Key,
-        version: Version,
-    ) {
-        let value = self
-            .groups
-            .get(&g)
-            .and_then(|gs| gs.redundant.get(&mid))
-            .and_then(|red| match &red.store {
-                RedundantStore::Rep { values } => values.get(&(key, version)).cloned(),
-                RedundantStore::Parity { .. } => None,
-            });
-        let _ = self.ep.send(
-            from,
-            Msg::FetchValueResp {
-                group: g,
-                memgest: mid,
-                key,
-                version,
-                value,
-            },
-        );
+        for (g, mid, k, v) in picked {
+            self.fetch(g, mid, k, v, false);
+        }
     }
 }

@@ -11,7 +11,7 @@ mod coord;
 mod recovery;
 mod redundant;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use ring_net::NodeId;
@@ -20,8 +20,9 @@ use crate::config::{ClusterConfig, Role, LEADER_NODE};
 use ring_net::Transport;
 
 use crate::proto::{ClientResp, ClientTag, Msg, RingEndpoint};
+use crate::protocol::spec_read::SpecRead;
 use crate::storage::{data_mr_key, parity_mr_key, VolatileTable};
-use crate::storage::{CoordMemgest, CoordStore, Heap, RedundantMemgest, RedundantStore};
+use crate::storage::{CoordMemgest, CoordStore, Heap, RedundantMemgest, RedundantStore, Waiter};
 use crate::types::{GroupId, Key, MemgestDescriptor, MemgestId, ReqId, Scheme, Version};
 
 /// Tunables of a node.
@@ -174,49 +175,18 @@ pub(crate) struct PendingFetch {
     pub sent_at: Instant,
 }
 
-/// One contacted peer of a speculative shard read: which stripe rows it
-/// serves and the exact byte ranges requested (its response is the
-/// concatenation of those ranges, in order).
+/// An in-flight speculative `k + Δ` shard read. The fan-out, fan-in and
+/// decode state is the pure [`SpecRead`]; the node adds what only it
+/// knows: whose range this is and when the read was sent.
 #[derive(Debug)]
-pub(crate) struct SpecPeer {
-    /// `(segment index, stripe row)` per requested range. Rows `< k` are
-    /// data sources; row `k + p` is parity node `p`.
-    pub parts: Vec<(usize, usize)>,
-    /// Requested `(addr, len)` ranges, parallel to `parts`.
-    pub ranges: Vec<(usize, usize)>,
-    /// Whether the ranges address the peer's parity region (vs. its
-    /// data heap).
-    pub parity: bool,
-}
-
-/// An in-flight speculative `k + Δ` shard read: a degraded get fans out
-/// to the surviving data peers plus `1 + Δ` parity nodes and decodes
-/// from whichever `k` stripe rows arrive first, late-binding past
-/// stragglers (§"late-binding reads").
-#[derive(Debug)]
-pub(crate) struct SpecRead {
+pub(crate) struct PendingSpecRead {
     pub group: GroupId,
     pub memgest: MemgestId,
-    /// Lost range in this coordinator's heap.
-    pub addr: usize,
-    pub len: usize,
-    /// SRS segments covering the lost range.
-    pub segs: Vec<ring_erasure::Segment>,
-    /// Stripe width `k`: rows needed per segment to decode.
-    pub k: usize,
-    /// Peers contacted, with their expected response layout.
-    pub peers: BTreeMap<NodeId, SpecPeer>,
-    /// Responses received so far (raw concatenated range bytes).
-    pub responses: BTreeMap<NodeId, ring_net::Payload>,
-    /// Peers that declined (rebuilding / holes) or answered garbage.
-    pub declined: BTreeSet<NodeId>,
-    /// Parity nodes held in reserve as `(parity index, node)`; promoted
-    /// one at a time when a contacted peer declines.
-    pub reserve: Vec<(usize, NodeId)>,
-    /// Fetch-attempt counter inherited from the triggering entry; seeds
-    /// the parity rotation and the single-target fallback.
+    /// Fetch-attempt number of the triggering entry: seeded the parity
+    /// rotation and picks the single target of the delegated fallback.
     pub attempt: u8,
     pub sent_at: Instant,
+    pub read: SpecRead,
 }
 
 /// Per-group state of a node.
@@ -259,7 +229,7 @@ pub struct Node<T: Transport<Msg> = RingEndpoint> {
     /// Outstanding metadata fetches keyed by `(group, memgest, shard)`.
     pub(crate) fetches: BTreeMap<(GroupId, MemgestId, usize), PendingFetch>,
     /// In-flight speculative shard reads, keyed by token.
-    pub(crate) spec_reads: BTreeMap<u64, SpecRead>,
+    pub(crate) spec_reads: BTreeMap<u64, PendingSpecRead>,
     /// Monotonic token source for speculative shard reads.
     pub(crate) next_spec_token: u64,
     /// Cumulative operation counters for introspection.
@@ -333,7 +303,71 @@ impl<T: Transport<Msg>> Node<T> {
     /// A point-in-time statistics report (the payload of the `Stats`
     /// client call, also dumped on graceful shutdown).
     pub fn node_stats(&self) -> crate::stats::NodeStats {
-        self.build_stats()
+        use crate::stats::{GroupStats, MemgestStats, NodeStats};
+        let mut groups = Vec::new();
+        let mut gids: Vec<_> = self.groups.keys().copied().collect();
+        gids.sort_unstable();
+        for g in gids {
+            let gs = &self.groups[&g];
+            let mut ids: Vec<crate::types::MemgestId> = gs
+                .coord
+                .keys()
+                .chain(gs.redundant.keys())
+                .copied()
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let mut memgests = Vec::with_capacity(ids.len());
+            for id in ids {
+                let mut row = MemgestStats {
+                    id,
+                    ..MemgestStats::default()
+                };
+                if let Some(c) = gs.coord.get(&id) {
+                    row.scheme = crate::stats::scheme_label(c.desc.scheme);
+                    row.coord_meta_entries = c.meta.len();
+                    row.missing_entries = c
+                        .meta
+                        .iter()
+                        .filter(|(_, _, e)| !e.data_present && !e.tombstone)
+                        .count();
+                    row.coord_meta_bytes = c.meta.approx_bytes();
+                    row.data_bytes = match &c.store {
+                        // ring-lint: allow(hashmap-iteration) -- order-insensitive byte sum
+                        CoordStore::Rep { values } => values.values().map(|v| v.len()).sum(),
+                        CoordStore::Srs { heap, .. } => heap.len(),
+                    };
+                }
+                if let Some(r) = gs.redundant.get(&id) {
+                    if row.scheme.is_empty() {
+                        row.scheme = crate::stats::scheme_label(r.desc.scheme);
+                    }
+                    row.redundant_meta_entries = r.meta.len();
+                    match &r.store {
+                        RedundantStore::Rep { values } => {
+                            // ring-lint: allow(hashmap-iteration) -- order-insensitive byte sum
+                            row.replica_bytes = values.values().map(|v| v.len()).sum();
+                        }
+                        RedundantStore::Parity { len, .. } => row.parity_bytes = *len,
+                    }
+                }
+                memgests.push(row);
+            }
+            groups.push(GroupStats {
+                group: g,
+                shard: gs.shard,
+                redundant_index: gs.red_idx,
+                volatile_keys: gs.volatile.keys(),
+                memgests,
+            });
+        }
+        NodeStats {
+            node: self.id,
+            epoch: self.config.epoch,
+            active: self.active && self.recovering == 0,
+            ops: self.ops,
+            groups,
+        }
     }
 
     /// The transport this node runs on (net counters, shutdown).
@@ -586,9 +620,8 @@ impl<T: Transport<Msg>> Node<T> {
     /// Creates the local state for one memgest in one group, according
     /// to this node's role there. Idempotent.
     pub(crate) fn instantiate_memgest(&mut self, g: GroupId, id: MemgestId) {
-        let desc = match self.catalog.get(&id) {
-            Some(d) => *d,
-            None => return,
+        let Some(&desc) = self.catalog.get(&id) else {
+            return;
         };
         let s = self.config.s;
         let gs = self.groups.entry(g).or_default();
@@ -599,13 +632,10 @@ impl<T: Transport<Msg>> Node<T> {
                     values: std::collections::HashMap::new(),
                 },
                 Scheme::Srs { k, m } => {
-                    let code =
-                        ring_erasure::SrsCode::new(k, m, s).expect("validated at memgest creation");
-                    let layout = ring_erasure::SrsLayout::new(code, desc.block_size)
-                        .expect("block_size validated at creation");
                     let heap = Heap::new(desc.block_size * 4);
                     self.ep
                         .register_region(data_mr_key(g, id), heap.region().clone());
+                    let layout = srs_layout(k, m, s, desc.block_size);
                     CoordStore::Srs { heap, layout }
                 }
             };
@@ -623,28 +653,20 @@ impl<T: Transport<Msg>> Node<T> {
         // Redundant-side state: replica stores on every active node (a
         // Rep(r) with r > d + 1 spills copies onto coordinators); parity
         // heaps only on redundant nodes with index < m.
-        let needs_parity = match desc.scheme {
-            Scheme::Srs { m, .. } => gs.red_idx.map(|i| i < m).unwrap_or(false),
-            Scheme::Rep { .. } => false,
+        let parity_code = match desc.scheme {
+            Scheme::Srs { k, m } if gs.red_idx.is_some_and(|i| i < m) => Some((k, m)),
+            _ => None,
         };
         let needs_rep_store = matches!(desc.scheme, Scheme::Rep { r } if r > 1);
-        if (needs_parity || needs_rep_store) && !gs.redundant.contains_key(&id) {
-            let store = if needs_parity {
+        if (parity_code.is_some() || needs_rep_store) && !gs.redundant.contains_key(&id) {
+            let store = if let Some((k, m)) = parity_code {
                 let region = ring_net::MemoryRegion::new(desc.block_size * 4);
                 self.ep
                     .register_region(parity_mr_key(g, id), region.clone());
-                let (k, m) = match desc.scheme {
-                    Scheme::Srs { k, m } => (k, m),
-                    Scheme::Rep { .. } => unreachable!("parity implies SRS"),
-                };
-                let code =
-                    ring_erasure::SrsCode::new(k, m, s).expect("validated at memgest creation");
-                let layout = ring_erasure::SrsLayout::new(code, desc.block_size)
-                    .expect("block_size validated at creation");
                 RedundantStore::Parity {
                     region,
                     len: 0,
-                    layout,
+                    layout: srs_layout(k, m, s, desc.block_size),
                 }
             } else {
                 RedundantStore::Rep {
@@ -667,16 +689,20 @@ impl<T: Transport<Msg>> Node<T> {
     /// still in flight to it — awaiting acks or stalled behind a parity
     /// rebuild — are failed back to their clients: they can never commit
     /// now, and an unanswered write would leave its client to time out
-    /// and its dedup slot `InFlight` forever.
+    /// and its dedup slot `InFlight` forever. Gets and moves parked on
+    /// its entries bind again to whatever the key's highest version is
+    /// without it.
     pub(crate) fn drop_memgest(&mut self, id: MemgestId) {
         self.catalog.remove(&id);
         let mut orphaned: Vec<OnCommit> = Vec::new();
+        let mut parked: Vec<(GroupId, Key, Waiter)> = Vec::new();
         for (g, gs) in self.groups.iter_mut() {
-            if let Some(coord) = gs.coord.remove(&id) {
+            if let Some(mut coord) = gs.coord.remove(&id) {
                 // Purge volatile references so later gets don't chase a
                 // dangling memgest id.
-                for (key, version, _) in coord.meta.iter() {
+                for (key, version, e) in coord.meta.iter_mut() {
                     gs.volatile.remove(key, version);
+                    parked.extend(e.waiters.drain(..).map(|w| (*g, key, w)));
                 }
                 self.ep.deregister_region(data_mr_key(*g, id));
             }
@@ -696,8 +722,10 @@ impl<T: Transport<Msg>> Node<T> {
             let (OnCommit::ReplyPut(client)
             | OnCommit::ReplyDelete(client)
             | OnCommit::ReplyMove(client)) = on_commit;
-            let gone = ClientResp::Error(crate::error::RingError::UnknownMemgest(id));
-            self.respond(client.0, client.1, gone);
+            self.fail(client, crate::error::RingError::UnknownMemgest(id));
+        }
+        for (g, key, waiter) in parked {
+            self.bind_highest(g, key, waiter);
         }
     }
 
@@ -723,13 +751,11 @@ impl<T: Transport<Msg>> Node<T> {
     }
 
     fn handle_meta_remove(&mut self, group: GroupId, memgest: MemgestId, key: Key, below: Version) {
-        if let Some(gs) = self.groups.get_mut(&group) {
-            if let Some(red) = gs.redundant.get_mut(&memgest) {
-                for (v, e) in red.meta.remove_below(key, below) {
-                    if let RedundantStore::Rep { values } = &mut red.store {
-                        values.remove(&(key, v));
-                    }
-                    let _ = e;
+        let gs = self.groups.get_mut(&group);
+        if let Some(red) = gs.and_then(|gs| gs.redundant.get_mut(&memgest)) {
+            for (v, _) in red.meta.remove_below(key, below) {
+                if let RedundantStore::Rep { values } = &mut red.store {
+                    values.remove(&(key, v));
                 }
             }
         }
@@ -749,6 +775,13 @@ impl<T: Transport<Msg>> Node<T> {
     }
 }
 
+/// The stretched-code address arithmetic of an `SRS(k, m)` memgest over
+/// `s` coordinators, shared by its data heaps and parity heaps.
+fn srs_layout(k: usize, m: usize, s: usize, block_size: usize) -> ring_erasure::SrsLayout {
+    let code = ring_erasure::SrsCode::new(k, m, s).expect("validated at memgest creation");
+    ring_erasure::SrsLayout::new(code, block_size).expect("block_size validated at creation")
+}
+
 impl<T: Transport<Msg>> std::fmt::Debug for Node<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node")
@@ -766,6 +799,104 @@ mod tests {
     use crate::config::CLIENT_BASE;
     use crate::error::RingError;
     use crate::proto::{ClientReq, RingFabric};
+    use crate::protocol::steps::FETCH_BUDGET;
+    use crate::storage::ObjectEntry;
+    use ring_net::Payload;
+
+    const REP1: MemgestId = 0;
+    const REP2: MemgestId = 1;
+    const SRS32: MemgestId = 6;
+    const KEY: Key = 12345;
+
+    /// A five-node cluster on one thread: every node is registered on
+    /// the fabric, but only the nodes built with [`Rig::node`] exist, and
+    /// they are stepped message by message so their private tables can
+    /// be inspected between steps.
+    struct Rig {
+        fabric: RingFabric,
+        config: ClusterConfig,
+        eps: BTreeMap<NodeId, RingEndpoint>,
+        leader: RingEndpoint,
+        client: RingEndpoint,
+        /// `KEY`'s group, shard and coordinator.
+        g: GroupId,
+        shard: usize,
+        coordinator: NodeId,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let spec = ClusterSpec::paper_evaluation();
+            let fabric: RingFabric = ring_net::Fabric::new(ring_net::LatencyModel::instant());
+            let nodes: Vec<NodeId> = (0..(spec.s + spec.d) as NodeId).collect();
+            let config =
+                ClusterConfig::initial(spec.s, spec.d, spec.groups, nodes.clone(), Vec::new());
+            let (g, shard) = config.locate(KEY);
+            Rig {
+                eps: nodes
+                    .iter()
+                    .map(|&id| (id, fabric.register(id).expect("fresh fabric")))
+                    .collect(),
+                leader: fabric.register(LEADER_NODE).expect("fresh fabric"),
+                client: fabric.register(CLIENT_BASE).expect("fresh fabric"),
+                coordinator: config.coordinator_of_key(KEY),
+                fabric,
+                config,
+                g,
+                shard,
+            }
+        }
+
+        /// Builds (without running) the node `id`.
+        fn node(&mut self, id: NodeId) -> Node {
+            let spec = ClusterSpec::paper_evaluation();
+            let opts = NodeOptions {
+                initial_memgests: (0..).zip(spec.memgests.iter().copied()).collect(),
+                ..NodeOptions::default()
+            };
+            let ep = self.eps.remove(&id).expect("registered, not yet built");
+            Node::new(ep, self.config.clone(), opts)
+        }
+
+        fn request(&self, req: ReqId, body: ClientReq) {
+            self.client
+                .send(self.coordinator, Msg::Request { req, body })
+                .expect("client link is up");
+        }
+
+        fn put(&self, req: ReqId, memgest: MemgestId) {
+            let value = Payload::from(b"doomed".to_vec());
+            let memgest = Some(memgest);
+            self.request(
+                req,
+                ClientReq::Put {
+                    key: KEY,
+                    value,
+                    memgest,
+                },
+            );
+        }
+
+        fn expect_reply(&self, req: ReqId, body: ClientResp) {
+            let (_, msg) = self
+                .client
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the request is answered, not left to time out");
+            assert_eq!(msg, Msg::Response { req, body });
+        }
+
+        fn expect_error(&self, req: ReqId, err: RingError) {
+            self.expect_reply(req, ClientResp::Error(err));
+        }
+
+        /// Cuts the coordinator off from `KEY`'s REP2 replica, so REP2
+        /// writes of `KEY` stay uncommitted; returns the replica.
+        fn cut_rep2_replica(&self) -> NodeId {
+            let replica = self.config.replica_targets(self.g, self.shard, 2)[0];
+            self.fabric.fail_link(self.coordinator, replica);
+            replica
+        }
+    }
 
     /// Delivers the next queued message to a hand-stepped node.
     fn step(node: &mut Node) {
@@ -776,80 +907,171 @@ mod tests {
         node.dispatch(from, msg);
     }
 
-    fn put(client: &RingEndpoint, to: NodeId, req: ReqId, key: Key, memgest: MemgestId) {
-        let body = ClientReq::Put {
-            key,
-            value: ring_net::Payload::from(b"doomed".to_vec()),
-            memgest: Some(memgest),
-        };
-        client
-            .send(to, Msg::Request { req, body })
-            .expect("client link is up");
-    }
-
-    fn expect_unknown_memgest(client: &RingEndpoint, req: ReqId, id: MemgestId) {
-        let (_, msg) = client
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the dropped write is answered, not left to time out");
-        let body = ClientResp::Error(RingError::UnknownMemgest(id));
-        assert_eq!(msg, Msg::Response { req, body });
-    }
-
-    /// A five-node cluster on one thread: every node is registered on
-    /// the fabric, but only `key`'s coordinator runs, stepped message by
-    /// message so its private tables can be inspected between steps.
     #[test]
     fn drop_memgest_fails_inflight_writes_back_to_their_clients() {
-        const REP2: MemgestId = 1;
-        const SRS32: MemgestId = 6;
-        let spec = ClusterSpec::paper_evaluation();
-        let fabric: RingFabric = ring_net::Fabric::new(ring_net::LatencyModel::instant());
-        let nodes: Vec<NodeId> = (0..(spec.s + spec.d) as NodeId).collect();
-        let config = ClusterConfig::initial(spec.s, spec.d, spec.groups, nodes.clone(), Vec::new());
-        let key: Key = 12345;
-        let coordinator = config.coordinator_of_key(key);
-        let (g, shard) = config.locate(key);
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        let g = rig.g;
 
-        let mut eps: BTreeMap<NodeId, RingEndpoint> = nodes
-            .iter()
-            .map(|&id| (id, fabric.register(id).expect("fresh fabric")))
-            .collect();
-        let leader = fabric.register(LEADER_NODE).expect("fresh fabric");
-        let client = fabric.register(CLIENT_BASE).expect("fresh fabric");
-        let opts = NodeOptions {
-            initial_memgests: (0..).zip(spec.memgests.iter().copied()).collect(),
-            ..NodeOptions::default()
-        };
-        let ep = eps.remove(&coordinator).expect("registered");
-        let mut node = Node::new(ep, config.clone(), opts);
-
-        // A REP2 put whose redundancy link is cut stays uncommitted...
-        for replica in config.replica_targets(g, shard, 2) {
-            fabric.fail_link(coordinator, replica);
-        }
-        put(&client, coordinator, 1, key, REP2);
+        // A REP2 put whose redundancy link is cut stays uncommitted, and
+        // a get binds to it and parks...
+        rig.cut_rep2_replica();
+        rig.put(1, REP2);
         step(&mut node);
         assert_eq!(node.pending.len(), 1, "awaiting the replica's ack");
+        rig.request(3, ClientReq::Get { key: KEY });
+        step(&mut node);
         // ...and an SRS put behind a parity rebuild is stalled.
         let gs = node.groups.get_mut(&g).expect("coordinated group");
         gs.coord.get_mut(&SRS32).expect("instantiated").stalled = true;
-        put(&client, coordinator, 2, key, SRS32);
+        rig.put(2, SRS32);
         step(&mut node);
         assert_eq!(node.groups[&g].stalled[&SRS32].len(), 1);
 
         for (token, req, id) in [(7, 1, REP2), (8, 2, SRS32)] {
-            leader
-                .send(coordinator, Msg::MemgestDrop { token, id })
+            rig.leader
+                .send(rig.coordinator, Msg::MemgestDrop { token, id })
                 .expect("leader link is up");
             step(&mut node);
-            expect_unknown_memgest(&client, req, id);
+            rig.expect_error(req, RingError::UnknownMemgest(id));
+            if id == SRS32 {
+                // The get parked behind the REP2 put was bound again
+                // when REP2 went — to the stalled SRS32 version, by then
+                // the key's highest — and once more now that no version
+                // is left.
+                rig.expect_error(3, RingError::KeyNotFound);
+            }
             // The write's dedup slot is settled, not `InFlight` forever:
             // a re-delivery is answered from the cache.
-            put(&client, coordinator, req, key, id);
+            rig.put(req, id);
             step(&mut node);
-            expect_unknown_memgest(&client, req, id);
+            rig.expect_error(req, RingError::UnknownMemgest(id));
         }
         assert!(node.pending.is_empty(), "{:?}", node.pending);
         assert!(node.groups[&g].stalled.is_empty());
+    }
+
+    /// Plants a committed SRS32 version of `KEY` whose bytes were lost
+    /// with the previous coordinator (metadata-only recovery).
+    fn plant_lost_srs_entry(node: &mut Node, g: GroupId, len: usize) {
+        let gs = node.groups.get_mut(&g).expect("coordinated group");
+        let coord = gs.coord.get_mut(&SRS32).expect("instantiated");
+        coord
+            .meta
+            .insert(KEY, 1, ObjectEntry::recovered(len, 0, false));
+        if let CoordStore::Srs { heap, .. } = &mut coord.store {
+            heap.reserve_upto(len);
+        }
+        gs.volatile.record(KEY, 1, SRS32);
+    }
+
+    #[test]
+    fn exhausted_srs_fetch_fails_its_waiters() {
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        plant_lost_srs_entry(&mut node, rig.g, 64);
+
+        rig.request(1, ClientReq::Get { key: KEY });
+        step(&mut node);
+        // Every attempt is a speculative read nobody answers, handed to
+        // the delegated decode at expiry, which the parity declines.
+        let later = ring_net::clock::now() + Duration::from_secs(1);
+        for attempt in 1..=FETCH_BUDGET {
+            let entry = node.groups[&rig.g].coord[&SRS32].meta.get(KEY, 1);
+            let entry = entry.expect("planted");
+            assert!(entry.fetching && entry.waiters.len() == 1, "{entry:?}");
+            assert_eq!(entry.fetch_attempts, attempt);
+            assert_eq!(node.spec_reads.len(), 1);
+            node.expire_spec_reads(later);
+            assert!(node.spec_reads.is_empty());
+            let declined = Msg::RecoverBlockResp {
+                group: rig.g,
+                memgest: SRS32,
+                addr: 0,
+                bytes: None,
+            };
+            rig.leader.send(rig.coordinator, declined).expect("link up");
+            step(&mut node);
+        }
+        rig.expect_error(1, RingError::Unavailable("value copy lost".into()));
+        let entry = node.groups[&rig.g].coord[&SRS32].meta.get(KEY, 1);
+        let entry = entry.expect("planted");
+        assert!(!entry.fetching && entry.waiters.is_empty(), "{entry:?}");
+    }
+
+    #[test]
+    fn recover_block_declines_when_a_lane_peer_cannot_be_read() {
+        let mut rig = Rig::new();
+        let parity = rig.config.redundant(rig.g, 0);
+        let mut node = rig.node(parity);
+        // The coordinators exist (their heaps are registered) but idle.
+        let coordinators: Vec<Node> = (0..rig.config.s)
+            .map(|shard| rig.node(rig.config.coordinator(rig.g, shard)))
+            .collect();
+        let recover = Msg::RecoverBlock {
+            group: rig.g,
+            memgest: SRS32,
+            shard: rig.shard,
+            addr: 0,
+            len: 64,
+        };
+        let reply = |bytes| Msg::RecoverBlockResp {
+            group: rig.g,
+            memgest: SRS32,
+            addr: 0,
+            bytes,
+        };
+
+        // Nothing was ever written: all-zero lanes decode to zeros.
+        rig.client.send(parity, recover.clone()).expect("link up");
+        step(&mut node);
+        let (_, msg) = rig.client.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(msg, reply(Some(Payload::from(vec![0u8; 64]))));
+
+        // A dead lane peer is not an all-zero lane.
+        let dead = (rig.shard + 1) % rig.config.s;
+        rig.fabric.kill(coordinators[dead].id);
+        rig.client.send(parity, recover).expect("link up");
+        step(&mut node);
+        let (_, msg) = rig.client.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(msg, reply(None));
+    }
+
+    /// A move released from the version it parked on writes a higher
+    /// one; into an unreliable memgest that commits — and prunes the
+    /// source — before the next parked request is looked at.
+    #[test]
+    fn gets_parked_with_a_move_are_served_from_the_version_they_pinned() {
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        let replica = rig.cut_rep2_replica();
+        rig.put(1, REP2);
+        let (key, dst) = (KEY, REP1);
+        rig.request(2, ClientReq::Move { key, dst });
+        rig.request(3, ClientReq::Get { key });
+        for _ in 0..3 {
+            step(&mut node);
+        }
+        let ack = Msg::ReplicateAck {
+            group: rig.g,
+            memgest: REP2,
+            key,
+            version: 1,
+        };
+        rig.fabric.heal_link(rig.coordinator, replica);
+        let replica = rig.eps.remove(&replica).expect("registered");
+        replica.send(rig.coordinator, ack).expect("link healed");
+        step(&mut node);
+        let mut replies = BTreeMap::new();
+        while let Ok(Some((_, Msg::Response { req, body }))) = rig.client.try_recv() {
+            replies.insert(req, body);
+        }
+        let value = Payload::from(b"doomed".to_vec());
+        let expected = [
+            (1, ClientResp::PutOk { version: 1 }),
+            (2, ClientResp::MoveOk { version: 2 }),
+            (3, ClientResp::GetOk { value, version: 1 }),
+        ];
+        assert_eq!(replies, BTreeMap::from(expected));
     }
 }

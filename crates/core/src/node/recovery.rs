@@ -47,16 +47,8 @@ impl<T: Transport<Msg>> Node<T> {
             // new target.
             for gs in self.groups.values_mut() {
                 for coord in gs.coord.values_mut() {
-                    let stuck: Vec<_> = coord
-                        .meta
-                        .iter()
-                        .filter(|(_, _, e)| e.fetching)
-                        .map(|(k, v, _)| (k, v))
-                        .collect();
-                    for (k, v) in stuck {
-                        if let Some(e) = coord.meta.get_mut(k, v) {
-                            e.fetching = false;
-                        }
+                    for (_, _, e) in coord.meta.iter_mut() {
+                        e.fetching = false;
                     }
                 }
             }

@@ -32,33 +32,23 @@ impl<T: Transport<Msg>> Node<T> {
         else {
             return;
         };
-        if red.meta.get(key, version).is_some() {
-            // Retransmission of a copy already stored: just re-ack.
-            let _ = self.ep.send(
-                from,
-                Msg::ReplicateAck {
-                    group: g,
-                    memgest: mid,
-                    key,
-                    version,
-                },
-            );
-            return;
-        }
-        if !self.opts.replica_ack_delay.is_zero() {
-            // Disk-backed backup model (RAMCloud-like baseline): the
-            // copy is buffered to stable storage before acknowledging.
-            ring_net::spin_wait(self.opts.replica_ack_delay);
-        }
-        let mut entry = ObjectEntry::new(value.len(), usize::MAX, tombstone);
-        // Replicas never serve client reads, so the commit flag on a
-        // replica only matters for recovery — where write-ahead semantics
-        // make every replicated entry recoverable.
-        entry.committed = true;
-        red.meta.insert(key, version, entry);
-        if !tombstone {
-            if let RedundantStore::Rep { values } = &mut red.store {
-                values.insert((key, version), value);
+        // A retransmission of a copy already stored is just re-acked.
+        if red.meta.get(key, version).is_none() {
+            if !self.opts.replica_ack_delay.is_zero() {
+                // Disk-backed backup model (RAMCloud-like baseline): the
+                // copy is buffered to stable storage before acknowledging.
+                ring_net::spin_wait(self.opts.replica_ack_delay);
+            }
+            let mut entry = ObjectEntry::new(value.len(), usize::MAX, tombstone);
+            // Replicas never serve client reads, so the commit flag on a
+            // replica only matters for recovery — where write-ahead
+            // semantics make every replicated entry recoverable.
+            entry.committed = true;
+            red.meta.insert(key, version, entry);
+            if !tombstone {
+                if let RedundantStore::Rep { values } = &mut red.store {
+                    values.insert((key, version), value);
+                }
             }
         }
         let _ = self.ep.send(
@@ -101,35 +91,25 @@ impl<T: Transport<Msg>> Node<T> {
         else {
             return;
         };
-        if red.meta.get(meta.key, meta.version).is_some() {
-            // Retransmission: the delta was already XORed in — applying
-            // it twice would cancel it. Just re-ack.
-            let _ = self.ep.send(
-                from,
-                Msg::ParityAck {
-                    group: g,
-                    memgest: mid,
-                    key: meta.key,
-                    version: meta.version,
-                },
-            );
-            return;
-        }
-        if let RedundantStore::Parity { region, len, .. } = &mut red.store {
-            for seg in &segs {
-                let end = seg.parity_addr + seg.delta.len();
-                if end > region.len() {
-                    region.grow(end.next_power_of_two());
+        // A retransmission's delta was already XORed in — applying it
+        // twice would cancel it. Just re-ack.
+        if red.meta.get(meta.key, meta.version).is_none() {
+            if let RedundantStore::Parity { region, len, .. } = &mut red.store {
+                for seg in &segs {
+                    let end = seg.parity_addr + seg.delta.len();
+                    if end > region.len() {
+                        region.grow(end.next_power_of_two());
+                    }
+                    region
+                        .xor(seg.parity_addr, &seg.delta)
+                        .expect("region grown to cover the segment");
+                    *len = (*len).max(end);
                 }
-                region
-                    .xor(seg.parity_addr, &seg.delta)
-                    .expect("region grown to cover the segment");
-                *len = (*len).max(end);
             }
+            let mut entry = ObjectEntry::new(meta.len, meta.addr, meta.tombstone);
+            entry.committed = true;
+            red.meta.insert(meta.key, meta.version, entry);
         }
-        let mut entry = ObjectEntry::new(meta.len, meta.addr, meta.tombstone);
-        entry.committed = true;
-        red.meta.insert(meta.key, meta.version, entry);
         let _ = self.ep.send(
             from,
             Msg::ParityAck {
@@ -209,6 +189,35 @@ impl<T: Transport<Msg>> Node<T> {
                 shard,
                 entries,
                 values,
+            },
+        );
+    }
+
+    /// Serves a replica's value copy to a recovering coordinator.
+    pub(crate) fn handle_fetch_value(
+        &mut self,
+        from: NodeId,
+        g: GroupId,
+        mid: MemgestId,
+        key: Key,
+        version: Version,
+    ) {
+        let value = self
+            .groups
+            .get(&g)
+            .and_then(|gs| gs.redundant.get(&mid))
+            .and_then(|red| match &red.store {
+                RedundantStore::Rep { values } => values.get(&(key, version)).cloned(),
+                RedundantStore::Parity { .. } => None,
+            });
+        let _ = self.ep.send(
+            from,
+            Msg::FetchValueResp {
+                group: g,
+                memgest: mid,
+                key,
+                version,
+                value,
             },
         );
     }
@@ -356,10 +365,14 @@ impl<T: Transport<Msg>> Node<T> {
                 }
                 let (peer_idx, peer_addr) = layout.peer_addr(&seg, j);
                 let peer_node = self.config.coordinator(g, peer_idx);
+                // Zeros only past the end of the peer's heap (never
+                // written, so all-zero by the coding convention). A peer
+                // that cannot be read makes the range undecodable here:
+                // decline, and the requester rotates to the next parity.
                 let peer = self
                     .ep
-                    .rdma_read(peer_node, data_mr_key(g, mid), peer_addr, seg.len)
-                    .unwrap_or_else(|_| vec![0u8; seg.len]);
+                    .rdma_read_padded(peer_node, data_mr_key(g, mid), peer_addr, seg.len)
+                    .ok()?;
                 let c = layout.code().rs().coefficient(parity_idx, j);
                 ring_gf::region::mul_acc(&mut acc, &peer, c);
             }

@@ -216,6 +216,37 @@ pub fn removable(committed: bool, has_waiters: bool) -> bool {
 
 // ---- Degraded reads ----
 
+/// Automatic on-demand fetches an entry gets (retries after a redundancy
+/// target answered "not here", background sweeps) before its waiters
+/// are failed: enough to rotate past every dead or rebuilding holder.
+pub const FETCH_BUDGET: u8 = 8;
+
+/// What to do about the lost bytes of a committed entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FetchDecision {
+    /// A fetch is already in flight; its answer serves everyone parked.
+    InFlight,
+    /// Issue fetch number `attempt` (rotates the redundancy targets).
+    Issue(u8),
+    /// The budget is spent: fail the parked requests.
+    GiveUp,
+}
+
+/// Decides the on-demand fetch of a lost value (Section 5.5). At most
+/// one fetch per entry is in flight. A client request that just bound to
+/// the entry (`requested`) always gets an attempt of its own; retries
+/// nobody new asked for stop at [`FETCH_BUDGET`].
+// tla: DegradedBind
+pub fn fetch_decision(in_flight: bool, attempts: u8, requested: bool) -> FetchDecision {
+    if in_flight {
+        FetchDecision::InFlight
+    } else if requested || attempts < FETCH_BUDGET {
+        FetchDecision::Issue(attempts)
+    } else {
+        FetchDecision::GiveUp
+    }
+}
+
 /// Whether a speculative `k + Δ` shard read can still decode: every
 /// segment needs `k` distinct stripe rows among the peers that have
 /// not declined. `live_parts` holds, per non-declined peer, its
@@ -324,6 +355,21 @@ mod tests {
         assert!(removable(true, false));
         assert!(!removable(false, false));
         assert!(!removable(true, true));
+    }
+
+    #[test]
+    fn one_fetch_in_flight_and_unrequested_retries_are_bounded() {
+        assert_eq!(fetch_decision(true, 0, true), FetchDecision::InFlight);
+        assert_eq!(fetch_decision(false, 3, false), FetchDecision::Issue(3));
+        assert_eq!(
+            fetch_decision(false, FETCH_BUDGET, false),
+            FetchDecision::GiveUp
+        );
+        // A fresh client request is worth one more try even then.
+        assert_eq!(
+            fetch_decision(false, FETCH_BUDGET, true),
+            FetchDecision::Issue(FETCH_BUDGET)
+        );
     }
 
     #[test]

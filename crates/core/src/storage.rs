@@ -31,6 +31,14 @@ pub enum Waiter {
     },
 }
 
+impl Waiter {
+    /// The client the parked request must eventually answer.
+    pub fn client(&self) -> ClientTag {
+        let (Waiter::Get(client) | Waiter::Move { client, .. }) = self;
+        *client
+    }
+}
+
 /// Metadata of one `(key, version)` instance inside a memgest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectEntry {
@@ -152,6 +160,13 @@ impl MetaTable {
         self.map
             .iter()
             .flat_map(|(&k, vs)| vs.iter().map(move |(&v, e)| (k, v, e)))
+    }
+
+    /// Iterates mutably over all `(key, version, entry)` triples.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Key, Version, &mut ObjectEntry)> {
+        self.map
+            .iter_mut()
+            .flat_map(|(&k, vs)| vs.iter_mut().map(move |(&v, e)| (k, v, e)))
     }
 
     /// Number of entries.
@@ -341,6 +356,17 @@ pub struct CoordMemgest {
     pub store: CoordStore,
     /// Puts stalled while a new parity node rebuilds (SRS only).
     pub stalled: bool,
+}
+
+impl CoordMemgest {
+    /// Drops one version: its metadata entry and, for replicated
+    /// memgests, its value (SRS heap space is append-only).
+    pub fn forget(&mut self, key: Key, version: Version) {
+        self.meta.remove(key, version);
+        if let CoordStore::Rep { values } = &mut self.store {
+            values.remove(&(key, version));
+        }
+    }
 }
 
 /// The data store of a coordinator memgest.

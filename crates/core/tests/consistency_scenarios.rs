@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use ring_kvs::proto::ClientResp;
-use ring_kvs::{Cluster, ClusterSpec};
+use ring_kvs::{Cluster, ClusterSpec, RingError};
 use ring_net::LatencyModel;
 
 fn spec() -> ClusterSpec {
@@ -165,6 +165,40 @@ fn move_waits_for_uncommitted_source() {
         other => panic!("unexpected move response: {other:?}"),
     }
     assert_eq!(mover.get(key).unwrap(), b"to-move");
+    cluster.shutdown();
+}
+
+#[test]
+fn move_waits_for_an_uncommitted_delete() {
+    // A move binds to the key's highest version exactly as a get does.
+    // While that version is a delete whose tombstone has not committed,
+    // the key is not gone yet: `KeyNotFound` now would expose state that
+    // may never commit.
+    let cluster = Cluster::start(spec());
+    let (key, coordinator, replica) = pick_key(&cluster);
+    let mut writer = cluster.client();
+    let mut mover = cluster.client();
+    writer.put_to(key, b"doomed", 1).unwrap();
+
+    cluster.fabric().fail_link(coordinator, replica);
+    writer.set_timeout(Duration::from_secs(5)); // One attempt outlasts the cut.
+    let d = writer.delete_nb(key).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+
+    let m = mover.move_async(key, 6).unwrap();
+    assert!(wait_response(&mut mover, m, Duration::from_millis(80)).is_none());
+    assert!(writer.poll().is_empty(), "the delete cannot commit yet");
+
+    cluster.fabric().heal_link(coordinator, replica);
+    let done = writer.drain();
+    assert!(
+        matches!(done.as_slice(), [(req, Ok(ClientResp::DeleteOk))] if *req == d),
+        "{done:?}"
+    );
+    assert_eq!(
+        wait_response(&mut mover, m, Duration::from_secs(2)).unwrap(),
+        ClientResp::Error(RingError::KeyNotFound)
+    );
     cluster.shutdown();
 }
 

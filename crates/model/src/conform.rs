@@ -48,7 +48,6 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 use ring_chaos::abstract_events::{abstract_ops, AbstractKind, AbstractOp};
-use ring_chaos::history::{Invocation, Outcome};
 use ring_chaos::{History, Tag};
 use ring_kvs::Key;
 
@@ -436,52 +435,16 @@ fn check_key(ops: &[AbstractOp], budget: u64) -> (KeySearch, u64, Vec<AbstractOp
     (verdict, visited, expanded)
 }
 
-/// Pre-pass: `(key, version)` identifies exactly one write, so no two
-/// tags may ever be observed under the same version (Section 5.2, and
-/// the model's `AtMostOnce`/`CoordPrepare` discipline).
-fn check_version_identity(h: &History) -> Option<(Key, String)> {
-    let mut seen: BTreeMap<(Key, u64), Tag> = BTreeMap::new();
-    for e in &h.events {
-        let observed: Option<(u64, Tag)> = match (&e.call, &e.outcome) {
-            (Invocation::Put { tag, .. }, Outcome::PutOk { version }) => Some((*version, *tag)),
-            (
-                Invocation::Get,
-                Outcome::GetOk {
-                    tag: Some(tag),
-                    version: Some(version),
-                },
-            ) => Some((*version, *tag)),
-            _ => None,
-        };
-        let Some((version, tag)) = observed else {
-            continue;
-        };
-        match seen.get(&(e.key, version)) {
-            Some(&prev) if prev != tag => {
-                return Some((
-                    e.key,
-                    format!(
-                        "version {version} observed with two different values: \
-                         tags {prev:?} and {tag:?}"
-                    ),
-                ));
-            }
-            Some(_) => {}
-            None => {
-                seen.insert((e.key, version), tag);
-            }
-        }
-    }
-    None
-}
-
 /// Checks a whole history against the abstract model, per key, with a
 /// per-key search `budget`. A hard violation outranks any budget
 /// exhaustion elsewhere; budget exhaustion on one key never silences
 /// the remaining keys.
 pub fn check_conformance_with_budget(h: &History, budget: u64) -> Conformance {
-    if let Some((key, detail)) = check_version_identity(h) {
-        return Conformance::Violation { key, detail };
+    if let Some(v) = ring_chaos::checker::check_version_consistency(h) {
+        return Conformance::Violation {
+            key: v.key,
+            detail: v.detail,
+        };
     }
     let by_key = abstract_ops(h);
     let mut total_states = 0u64;

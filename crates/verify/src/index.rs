@@ -44,10 +44,6 @@ pub struct LockDecl {
     pub id: String,
     /// Which primitive.
     pub kind: LockKind,
-    /// Declaring file (workspace-relative).
-    pub file: String,
-    /// Declaration line.
-    pub line: u32,
 }
 
 /// An enum definition.
@@ -64,8 +60,6 @@ pub struct EnumDef {
 /// An integer const (e.g. a wire tag).
 #[derive(Debug, Clone)]
 pub struct IntConst {
-    /// The const's name.
-    pub name: String,
     /// Its value, when the initializer was a single integer literal.
     pub value: Option<u64>,
     /// Declaring file.
@@ -112,8 +106,6 @@ impl WorkspaceIndex {
                                 let decl = LockDecl {
                                     id: format!("{}::{}", s.name, f.name),
                                     kind,
-                                    file: rel.clone(),
-                                    line: f.line,
                                 };
                                 ix.lock_ids.insert(decl.id.clone(), decl.clone());
                                 ix.lock_fields.entry(f.name.clone()).or_default().push(decl);
@@ -156,8 +148,6 @@ impl WorkspaceIndex {
                                 let decl = LockDecl {
                                     id: c.name.clone(),
                                     kind,
-                                    file: rel.clone(),
-                                    line: c.line,
                                 };
                                 ix.lock_ids.insert(decl.id.clone(), decl);
                             }
@@ -165,7 +155,6 @@ impl WorkspaceIndex {
                         ix.int_consts.insert(
                             c.name.clone(),
                             IntConst {
-                                name: c.name.clone(),
                                 value: c.int_value,
                                 file: rel.clone(),
                                 line: c.line,
