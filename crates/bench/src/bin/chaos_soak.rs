@@ -11,13 +11,13 @@
 //!   exercise many interleavings of one schedule.
 //! - `RING_CHAOS_STRAGGLER` (default 0): set to 1 to layer the seeded
 //!   slow-node straggler profile over the message faults.
-//! - `RING_CHAOS_CONFORM` (default 0): set to 1 to additionally replay
-//!   each history against the RingWriteSemantics abstract model
-//!   (`ring-model` trace conformance — version numbers included).
+//!
+//! To replay a seed's schedule (at the default ops and clients) against
+//! the RingWriteSemantics abstract model instead — version numbers
+//! included — run `ring-model --conform acceptance --seed <seed>`.
 
 use ring_bench::output::{header, write_json};
-use ring_chaos::{run_soak, CheckOutcome, SoakConfig, StragglerSpec};
-use ring_model::conform::{check_conformance, Conformance};
+use ring_chaos::{run_soak, SoakConfig, StragglerSpec, Verdict};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -35,8 +35,6 @@ struct Row {
     msgs_delayed: u64,
     straggles: u64,
     linearizable: bool,
-    /// `None` when conformance replay was not requested.
-    conformant: Option<bool>,
     wall_s: f64,
 }
 
@@ -59,7 +57,6 @@ fn main() {
     let clients = env_u64("RING_CHAOS_CLIENTS", 4) as usize;
     let runs = env_u64("RING_CHAOS_RUNS", 1) as usize;
     let straggler = env_u64("RING_CHAOS_STRAGGLER", 0) != 0;
-    let conform = env_u64("RING_CHAOS_CONFORM", 0) != 0;
 
     let mut cfg = SoakConfig::acceptance(seed);
     cfg.ops_per_client = ops;
@@ -84,9 +81,9 @@ fn main() {
         let report = run_soak(&cfg);
         let wall_s = began.elapsed().as_secs_f64();
         let verdict = match &report.checker {
-            CheckOutcome::Ok { states, .. } => format!("linearizable ({states} states)"),
-            CheckOutcome::Violation(v) => format!("VIOLATION on key {}", v.key),
-            CheckOutcome::Inconclusive { keys, .. } => {
+            Verdict::Ok { states, .. } => format!("linearizable ({states} states)"),
+            Verdict::Violation(v) => format!("VIOLATION on key {}", v.key),
+            Verdict::Inconclusive { keys, .. } => {
                 format!("inconclusive on {} key(s)", keys.len())
             }
         };
@@ -94,16 +91,10 @@ fn main() {
             "{run}\t{}\t{}\t{}\t{verdict}\t{wall_s:.1}s",
             report.ops, report.timeouts, report.message_faults.1
         );
-        if let CheckOutcome::Violation(v) = &report.checker {
+        if let Verdict::Violation(v) = &report.checker {
             println!("{v}");
         }
         all_ok &= report.passed();
-        let conformant = conform.then(|| {
-            let c = check_conformance(&report.history);
-            println!("  model conformance: {c}");
-            !matches!(c, Conformance::Violation { .. })
-        });
-        all_ok &= conformant.unwrap_or(true);
         rows.push(Row {
             run,
             seed: report.seed,
@@ -119,7 +110,6 @@ fn main() {
             msgs_delayed: report.message_faults.3,
             straggles: report.straggles.1,
             linearizable: report.passed(),
-            conformant,
             wall_s,
         });
     }

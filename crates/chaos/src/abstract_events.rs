@@ -70,6 +70,42 @@ pub struct AbstractOp {
     pub returned_ns: u64,
     /// The abstract effect.
     pub kind: AbstractKind,
+    /// True for an op no client invoked: an extra execution a spec's
+    /// `prepare` adds beside a retried write. [`project`] never sets it.
+    pub synthetic: bool,
+}
+
+impl AbstractOp {
+    /// False for "maybe happened" writes and moves, which a replay may
+    /// also leave out entirely.
+    pub fn is_definite(&self) -> bool {
+        !matches!(
+            self.kind,
+            AbstractKind::Write {
+                definite: false,
+                ..
+            } | AbstractKind::Rewrite {
+                definite: false,
+                ..
+            }
+        )
+    }
+
+    /// The `(tag, version)` pair this op's response ties together, if
+    /// it carried both: a write's own, or the one a read observed.
+    pub fn observed_version(&self) -> Option<(Tag, Version)> {
+        match self.kind {
+            AbstractKind::Write {
+                tag: Some(tag),
+                version: Some(version),
+                ..
+            }
+            | AbstractKind::Read {
+                observed: Some((Some(tag), Some(version))),
+            } => Some((tag, version)),
+            _ => None,
+        }
+    }
 }
 
 /// Projects one event. Total: every (invocation, outcome) combination —
@@ -142,6 +178,7 @@ pub fn project(e: &Event) -> AbstractOp {
         invoked_ns: e.invoked_ns,
         returned_ns: if definite { e.returned_ns } else { u64::MAX },
         kind,
+        synthetic: false,
     }
 }
 

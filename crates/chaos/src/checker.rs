@@ -1,104 +1,57 @@
-//! Per-key Wing & Gong linearizability checking over recorded
-//! histories.
+//! Per-key linearizability checking over recorded histories: the
+//! [`search`](crate::search) core judging every key against a plain
+//! register.
 //!
-//! Ring's KV API is a map of independent registers, so linearizability
-//! is *P-compositional* (Herlihy & Wing): a history is linearizable iff
-//! every per-key subhistory is. The checker therefore partitions the
-//! history by key and runs an exhaustive linearization search per key
-//! against a sequential register model:
+//! The sequential register model, over the abstract ops of
+//! [`abstract_events::project`](crate::abstract_events::project):
 //!
-//! - `put(tag)` sets the register to `tag` (versions are checked
-//!   separately, see below);
-//! - `get -> tag?` must observe exactly the model value (`None` =
-//!   absent);
-//! - `delete` clears the register — key-not-found responses are merged
-//!   with success because a retried delete whose first response was
-//!   lost is indistinguishable from one that found nothing;
-//! - `move` relocates the value between memgests without changing it,
-//!   so it is a value-level no-op (its version still participates in
-//!   the version consistency check).
+//! - `put(tag)` (a `Write`) sets the register to `tag` — versions are
+//!   the search core's version-identity pass's business, and the
+//!   versioned register's (`ring_model::conform`);
+//! - `get -> tag?` (a `Read`) must observe exactly the model value
+//!   (`None` = absent); a get that timed out or errored observed
+//!   nothing and constrains nothing;
+//! - `delete` (a `Write` of `None`) clears the register — key-not-found
+//!   responses are merged with success because a retried delete whose
+//!   first response was lost is indistinguishable from one that found
+//!   nothing;
+//! - `move` (a `Rewrite`, or a `Noop` when it found no value) relocates
+//!   the value between memgests without changing it, so it is a
+//!   value-level no-op.
 //!
-//! Operations that timed out ("maybe happened") get an infinite
-//! response time: the search may place them anywhere after their
-//! invocation, including after every observation — which is
-//! indistinguishable from never happening.
-//!
-//! On top of the per-key search, a global *version consistency* pass
-//! enforces the paper's Section 5.2 invariant as observed by clients:
-//! `(key, version)` identifies one write, so no two distinct tags may
-//! ever be returned under the same `(key, version)`.
+//! A put or delete takes effect whether or not its response arrived;
+//! failed writes are treated like timeouts (conservative: the node may
+//! have applied the op before the error). Such "maybe happened" ops
+//! get an infinite response time: the search may place them anywhere
+//! after their invocation, including after every observation — which
+//! is indistinguishable from never happening.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-use ring_kvs::{Key, Version};
-
-use crate::history::{Event, History, Invocation, Outcome};
+use crate::abstract_events::{AbstractKind, AbstractOp};
+use crate::history::History;
+use crate::search::{search, Spec, Verdict};
 use crate::Tag;
 
-/// Result of checking one history.
-#[derive(Debug, Clone)]
-pub enum CheckOutcome {
-    /// The history is linearizable and version-consistent.
-    Ok {
-        /// Distinct keys checked.
-        keys: usize,
-        /// Events checked.
-        events: usize,
-        /// Search states explored across all keys.
-        states: u64,
-    },
-    /// A consistency violation, with the evidence.
-    Violation(Violation),
-    /// Some per-key searches ran out of budget before a verdict (raise
-    /// the budget); every other key was still checked and found clean.
-    Inconclusive {
-        /// The keys whose searches exceeded the budget.
-        keys: Vec<Key>,
-        /// States explored before giving up, summed over all keys.
-        states: u64,
-    },
-}
+/// The plain register: a key holds the tag last written, or nothing.
+#[derive(Debug)]
+pub struct PlainRegister;
 
-impl CheckOutcome {
-    /// True for [`CheckOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, CheckOutcome::Ok { .. })
+impl Spec for PlainRegister {
+    type State = Option<Tag>;
+
+    fn initial(&self) -> Option<Tag> {
+        None
     }
-}
 
-/// Evidence for a non-linearizable (or version-inconsistent) history.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// The key on which the violation occurred.
-    pub key: Key,
-    /// Human-readable description of what failed.
-    pub detail: String,
-    /// The offending operations: for a linearizability failure, the
-    /// events that could not be linearized at the search frontier; for
-    /// a version conflict, the two clashing observations.
-    pub events: Vec<Event>,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "key {}: {}", self.key, self.detail)?;
-        for e in &self.events {
-            writeln!(
-                f,
-                "  [{:>12}ns..{:>12}ns] client {} op {}: {:?} -> {:?}",
-                e.invoked_ns,
-                if e.returned_ns == u64::MAX {
-                    u64::MAX
-                } else {
-                    e.returned_ns
-                },
-                e.client,
-                e.op,
-                e.call,
-                e.outcome
-            )?;
+    fn step(&self, state: &Option<Tag>, op: &AbstractOp) -> Option<Option<Tag>> {
+        match op.kind {
+            AbstractKind::Write { tag, .. } => Some(tag),
+            AbstractKind::Read {
+                observed: Some((tag, _)),
+            } => (tag == *state).then_some(tag),
+            AbstractKind::Read { observed: None }
+            | AbstractKind::Rewrite { .. }
+            | AbstractKind::Noop => Some(*state),
         }
-        Ok(())
     }
 }
 
@@ -106,272 +59,20 @@ impl std::fmt::Display for Violation {
 pub const DEFAULT_BUDGET: u64 = 20_000_000;
 
 /// Checks a history with the default search budget.
-pub fn check_history(history: &History) -> CheckOutcome {
+pub fn check_history(history: &History) -> Verdict {
     check_history_with_budget(history, DEFAULT_BUDGET)
 }
 
 /// Checks a history, exploring at most `budget` search states per key.
-pub fn check_history_with_budget(history: &History, budget: u64) -> CheckOutcome {
-    if let Some(v) = check_version_consistency(history) {
-        return CheckOutcome::Violation(v);
-    }
-
-    let mut by_key: BTreeMap<Key, Vec<&Event>> = BTreeMap::new();
-    for e in &history.events {
-        by_key.entry(e.key).or_default().push(e);
-    }
-
-    let mut total_states = 0u64;
-    let keys = by_key.len();
-    // A blown budget on one key must not abort the history: a definite
-    // violation on a later key outranks "inconclusive", and every key
-    // deserves its own verdict.
-    let mut inconclusive: Vec<Key> = Vec::new();
-    for (key, events) in by_key {
-        match check_key(key, &events, budget) {
-            KeyVerdict::Linearizable { states } => total_states += states,
-            KeyVerdict::Violation(v) => return CheckOutcome::Violation(v),
-            KeyVerdict::OutOfBudget { states } => {
-                total_states += states;
-                inconclusive.push(key);
-            }
-        }
-    }
-    if !inconclusive.is_empty() {
-        return CheckOutcome::Inconclusive {
-            keys: inconclusive,
-            states: total_states,
-        };
-    }
-    CheckOutcome::Ok {
-        keys,
-        events: history.events.len(),
-        states: total_states,
-    }
-}
-
-/// `(key, version)` identifies exactly one write, so no two distinct
-/// tags may ever be observed under one version (Section 5.2, and the
-/// model's `AtMostOnce`/`CoordPrepare` discipline). The pre-pass of both
-/// history oracles — this checker and `ring_model::conform`. The
-/// violation carries the two clashing observations.
-pub fn check_version_consistency(history: &History) -> Option<Violation> {
-    let mut seen: HashMap<(Key, Version), (Tag, &Event)> = HashMap::new();
-    for e in &history.events {
-        let observed: Option<(Version, Tag)> = match (&e.call, &e.outcome) {
-            (Invocation::Put { tag, .. }, Outcome::PutOk { version }) => Some((*version, *tag)),
-            (
-                Invocation::Get,
-                Outcome::GetOk {
-                    tag: Some(tag),
-                    version: Some(version),
-                },
-            ) => Some((*version, *tag)),
-            _ => None,
-        };
-        let Some((version, tag)) = observed else {
-            continue;
-        };
-        match seen.get(&(e.key, version)) {
-            Some(&(prev_tag, prev_e)) if prev_tag != tag => {
-                return Some(Violation {
-                    key: e.key,
-                    detail: format!(
-                        "version {version} observed with two different values: \
-                         tags {prev_tag:?} and {tag:?}"
-                    ),
-                    events: vec![prev_e.clone(), e.clone()],
-                });
-            }
-            Some(_) => {}
-            None => {
-                seen.insert((e.key, version), (tag, e));
-            }
-        }
-    }
-    None
-}
-
-/// One operation in a per-key search, reduced to model terms.
-struct KeyOp<'a> {
-    event: &'a Event,
-    inv: u64,
-    /// `u64::MAX` for "maybe happened" ops: the search may place them
-    /// arbitrarily late.
-    ret: u64,
-    sem: Sem,
-}
-
-/// Sequential-model semantics of an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sem {
-    /// Always applicable; sets the register.
-    Write(Option<Tag>),
-    /// Applicable iff the register equals the observed value.
-    Read(Option<Tag>),
-    /// Always applicable; leaves the register unchanged.
-    Noop,
-}
-
-enum KeyVerdict {
-    Linearizable { states: u64 },
-    Violation(Violation),
-    OutOfBudget { states: u64 },
-}
-
-fn sem_of(e: &Event) -> Sem {
-    match (&e.call, &e.outcome) {
-        // A put takes effect whether or not its response arrived; if it
-        // never executed, placing it after every observation models
-        // that. Failed writes are treated like timeouts (conservative:
-        // the node may have applied the op before the error).
-        (Invocation::Put { tag, .. }, _) => Sem::Write(Some(*tag)),
-        (Invocation::Delete, _) => Sem::Write(None),
-        (Invocation::Move { .. }, _) => Sem::Noop,
-        (Invocation::Get, Outcome::GetOk { tag, .. }) => Sem::Read(*tag),
-        // A get that timed out or errored observed nothing.
-        (Invocation::Get, _) => Sem::Noop,
-    }
-}
-
-fn is_maybe(e: &Event) -> bool {
-    matches!(e.outcome, Outcome::Maybe | Outcome::Failed(_))
-}
-
-/// Exhaustive Wing & Gong search for one key, with memoization on
-/// (linearized-set, register value).
-fn check_key(key: Key, events: &[&Event], budget: u64) -> KeyVerdict {
-    let mut ops: Vec<KeyOp<'_>> = events
-        .iter()
-        .map(|e| KeyOp {
-            event: e,
-            inv: e.invoked_ns,
-            ret: if is_maybe(e) { u64::MAX } else { e.returned_ns },
-            sem: sem_of(e),
-        })
-        .collect();
-    ops.sort_by_key(|o| (o.inv, o.ret));
-    let n = ops.len();
-    let words = n.div_ceil(64);
-
-    // DFS over (linearized bitset, register). `path` is the chosen
-    // linearization prefix; on failure the deepest frontier reached is
-    // the evidence.
-    let mut linearized = vec![0u64; words];
-    let mut state: Option<Tag> = None;
-    let mut done = 0usize;
-    // Per-depth iteration cursor: which op index to try next.
-    let mut cursor = vec![0usize; n + 1];
-    let mut path: Vec<(usize, Option<Tag>)> = Vec::new(); // (op, prior state)
-    let mut seen: HashSet<(Vec<u64>, Option<Tag>)> = HashSet::new();
-    let mut states = 0u64;
-    let mut deepest = 0usize;
-    let mut deepest_set: Vec<u64> = linearized.clone();
-    let mut deepest_state: Option<Tag> = None;
-
-    let test_bit = |set: &[u64], i: usize| set[i / 64] >> (i % 64) & 1 == 1;
-
-    loop {
-        if done == n {
-            return KeyVerdict::Linearizable { states };
-        }
-        // Earliest response among remaining ops bounds the candidates:
-        // an op invoked after some remaining op completed cannot be
-        // linearized before it.
-        let min_ret = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !test_bit(&linearized, *i))
-            .map(|(_, o)| o.ret)
-            .min()
-            .expect("done < n");
-
-        let mut advanced = false;
-        while cursor[done] < n {
-            let i = cursor[done];
-            cursor[done] += 1;
-            if test_bit(&linearized, i) || ops[i].inv > min_ret {
-                continue;
-            }
-            // Applicability against the model.
-            let next_state = match ops[i].sem {
-                Sem::Write(v) => v,
-                Sem::Noop => state,
-                Sem::Read(observed) => {
-                    if observed != state {
-                        continue;
-                    }
-                    state
-                }
-            };
-            // Take the step.
-            let mut next_set = linearized.clone();
-            next_set[i / 64] |= 1 << (i % 64);
-            if !seen.insert((next_set.clone(), next_state)) {
-                continue; // Equivalent state already explored.
-            }
-            states += 1;
-            if states > budget {
-                return KeyVerdict::OutOfBudget { states };
-            }
-            path.push((i, state));
-            linearized = next_set;
-            state = next_state;
-            done += 1;
-            cursor[done] = 0;
-            if done > deepest {
-                deepest = done;
-                deepest_set = linearized.clone();
-                deepest_state = state;
-            }
-            advanced = true;
-            break;
-        }
-        if advanced {
-            continue;
-        }
-        // Backtrack.
-        match path.pop() {
-            Some((i, prior)) => {
-                linearized[i / 64] &= !(1 << (i % 64));
-                state = prior;
-                done -= 1;
-            }
-            None => {
-                // Exhausted: not linearizable. Report the frontier at
-                // the deepest prefix reached: the ops that were
-                // eligible there but could not be applied.
-                let min_ret = ops
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !test_bit(&deepest_set, *i))
-                    .map(|(_, o)| o.ret)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                let stuck: Vec<Event> = ops
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, o)| !test_bit(&deepest_set, *i) && o.inv <= min_ret)
-                    .map(|(_, o)| o.event.clone())
-                    .collect();
-                return KeyVerdict::Violation(Violation {
-                    key,
-                    detail: format!(
-                        "no linearization: after {} of {} ops the register holds \
-                         {deepest_state:?} and none of the eligible ops can apply",
-                        deepest, n
-                    ),
-                    events: stuck,
-                });
-            }
-        }
-    }
+pub fn check_history_with_budget(history: &History, budget: u64) -> Verdict {
+    search(&PlainRegister, history, budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::{Event, Invocation, Outcome};
+    use ring_kvs::{Key, Version};
 
     fn put(client: u32, op: u64, key: Key, inv: u64, ret: u64, version: Version) -> Event {
         Event {
@@ -444,7 +145,7 @@ mod tests {
             get(1, 2, 9, 300, 400, Some((0, 0))),
         ]);
         match check_history(&h) {
-            CheckOutcome::Violation(v) => {
+            Verdict::Violation(v) => {
                 assert_eq!(v.key, 9);
                 // The stale get is part of the evidence.
                 assert!(
@@ -564,7 +265,7 @@ mod tests {
         // Two different tags observed under the same (key, version).
         let h = history(vec![put(0, 0, 1, 0, 10, 7), put(1, 1, 1, 1000, 1010, 7)]);
         match check_history(&h) {
-            CheckOutcome::Violation(v) => {
+            Verdict::Violation(v) => {
                 assert!(v.detail.contains("version 7"), "{}", v.detail);
                 assert_eq!(v.events.len(), 2);
             }
@@ -609,7 +310,7 @@ mod tests {
         assert!(check_history(&history(events.clone())).is_ok());
         events.push(get(2, 999, 1, 5000, 5010, None)); // Value vanished.
         match check_history(&history(events)) {
-            CheckOutcome::Violation(v) => assert_eq!(v.key, 1),
+            Verdict::Violation(v) => assert_eq!(v.key, 1),
             other => panic!("expected violation, got {other:?}"),
         }
     }
@@ -634,7 +335,7 @@ mod tests {
         }
         events.push(get(99, 99, 0, 20, 30, Some((3, 3))));
         match check_history_with_budget(&history(events), 50) {
-            CheckOutcome::Inconclusive { keys, .. } => assert_eq!(keys, vec![0]),
+            Verdict::Inconclusive { keys, .. } => assert_eq!(keys, vec![0]),
             other => panic!("expected inconclusive, got {other:?}"),
         }
     }
@@ -670,7 +371,7 @@ mod tests {
             events.push(get(51, key * 100 + 1, key, 20, 30, Some((50, key * 100))));
         }
         match check_history_with_budget(&history(events), 50) {
-            CheckOutcome::Inconclusive { keys, states } => {
+            Verdict::Inconclusive { keys, states } => {
                 assert_eq!(keys, vec![0], "only key 0 ran out of budget");
                 // The clean keys' states are counted too: they were
                 // actually searched, past the exhausted key.
@@ -690,7 +391,7 @@ mod tests {
         events.push(put(50, 501, 5, 20, 30, 2));
         events.push(get(51, 502, 5, 40, 50, Some((50, 500))));
         match check_history_with_budget(&history(events), 50) {
-            CheckOutcome::Violation(v) => assert_eq!(v.key, 5),
+            Verdict::Violation(v) => assert_eq!(v.key, 5),
             other => panic!("expected violation on key 5, got {other:?}"),
         }
     }

@@ -14,10 +14,14 @@
 //! - [`history`]: a [`RecordedClient`] wrapper around
 //!   `ring_kvs::RingClient` that logs every invocation/response pair
 //!   with wall-clock windows, unique value tags and returned versions.
-//! - [`checker`]: a per-key Wing & Gong linearizability checker (sound
-//!   by P-compositionality: a KV history is linearizable iff each
-//!   per-key subhistory is) against a sequential register model that
-//!   understands Ring's `move` and version semantics.
+//! - [`search`]: the history oracle — one per-key Wing & Gong search
+//!   (sound by P-compositionality: a KV history is linearizable iff
+//!   each per-key subhistory is) over the abstract ops of
+//!   [`abstract_events`], with the real-time rule, per-key budgets,
+//!   deepest-frontier evidence and one [`Verdict`], parameterised by a
+//!   [`Spec`] of what a key is. [`checker`] is the spec the soak runs:
+//!   a plain register that understands Ring's `move`; the versioned
+//!   register of `ring_model::conform` is the other.
 //!
 //! [`soak`] ties the three together into a reproducible YCSB-style soak
 //! run: every random choice — the workload, the nemesis timeline, the
@@ -28,13 +32,15 @@ pub mod abstract_events;
 pub mod checker;
 pub mod history;
 pub mod nemesis;
+pub mod search;
 pub mod soak;
 pub mod straggler;
 
 pub use abstract_events::{abstract_ops, AbstractKind, AbstractOp};
-pub use checker::{check_history, CheckOutcome, Violation};
+pub use checker::{check_history, PlainRegister};
 pub use history::{History, HistoryRecorder, RecordedClient, Tag};
 pub use nemesis::{FaultPlan, MessageFaults, Nemesis, NemesisEvent, NemesisSpec};
+pub use search::{search, Spec, Verdict, Violation};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use straggler::{StragglerProfile, StragglerSpec};
 

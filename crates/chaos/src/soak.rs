@@ -17,9 +17,10 @@ use rand::{Rng, SeedableRng};
 use ring_kvs::{Cluster, ClusterSpec, MemgestDescriptor, MemgestId};
 use ring_workload::{KeyDistribution, WorkloadGen, WorkloadSpec};
 
-use crate::checker::{check_history, CheckOutcome};
+use crate::checker::check_history;
 use crate::history::HistoryRecorder;
 use crate::nemesis::{FaultPlan, MessageFaults, Nemesis, NemesisSpec};
+use crate::search::Verdict;
 use crate::straggler::{StragglerProfile, StragglerSpec};
 use crate::Digest;
 
@@ -311,7 +312,7 @@ pub struct SoakReport {
     /// had no straggler profile.
     pub straggles: (u64, u64),
     /// The checker's verdict.
-    pub checker: CheckOutcome,
+    pub checker: Verdict,
     /// The full recorded history the verdict was computed over.
     pub history: crate::history::History,
 }

@@ -602,13 +602,13 @@ impl<T: Transport<Msg>> Node<T> {
         for sp in queue {
             // Remove the placeholder entry; execute_write re-inserts it
             // with the real heap address.
-            if let Some(c) = self
+            let parked = self
                 .groups
                 .get_mut(&g)
                 .and_then(|gs| gs.coord.get_mut(&mid))
-            {
-                c.meta.remove(sp.key, sp.version);
-            }
+                .and_then(|c| c.meta.remove(sp.key, sp.version))
+                .map(|e| e.waiters)
+                .unwrap_or_default();
             self.execute_write(
                 g,
                 shard,
@@ -619,6 +619,9 @@ impl<T: Transport<Msg>> Node<T> {
                 sp.tombstone,
                 sp.on_commit,
             );
+            // Requests parked on the placeholder go with it: re-bound,
+            // they park on the real entry until it commits.
+            self.release(g, mid, sp.key, sp.version, parked);
         }
     }
 

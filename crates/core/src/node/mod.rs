@@ -999,6 +999,47 @@ mod tests {
         assert!(!entry.fetching && entry.waiters.is_empty(), "{entry:?}");
     }
 
+    /// A parity rebuild swaps a stalled put's placeholder entry for the
+    /// real one; the gets parked on the placeholder must move with it.
+    #[test]
+    fn gets_parked_on_a_stalled_srs_put_survive_the_flush() {
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        let g = rig.g;
+        let gs = node.groups.get_mut(&g).expect("coordinated group");
+        gs.coord.get_mut(&SRS32).expect("instantiated").stalled = true;
+        rig.put(1, SRS32);
+        rig.request(2, ClientReq::Get { key: KEY });
+        step(&mut node);
+        step(&mut node);
+        let entry = node.groups[&g].coord[&SRS32].meta.get(KEY, 1);
+        let entry = entry.expect("placeholder");
+        assert!(!entry.data_present && entry.waiters.len() == 1, "{entry:?}");
+
+        node.flush_stalled(g, SRS32);
+        let entry = node.groups[&g].coord[&SRS32].meta.get(KEY, 1);
+        let entry = entry.expect("re-inserted by execute_write");
+        assert!(entry.data_present && !entry.committed, "{entry:?}");
+        assert_eq!(entry.waiters.len(), 1, "the get is still parked");
+
+        let ack = Msg::ParityAck {
+            group: g,
+            memgest: SRS32,
+            key: KEY,
+            version: 1,
+        };
+        let parities: Vec<RingEndpoint> = (rig.config.parity_targets(g, 2).iter())
+            .map(|p| rig.eps.remove(p).expect("registered"))
+            .collect();
+        for parity in &parities {
+            parity.send(rig.coordinator, ack.clone()).expect("link up");
+            step(&mut node);
+        }
+        rig.expect_reply(1, ClientResp::PutOk { version: 1 });
+        let value = Payload::from(b"doomed".to_vec());
+        rig.expect_reply(2, ClientResp::GetOk { value, version: 1 });
+    }
+
     #[test]
     fn recover_block_declines_when_a_lane_peer_cannot_be_read() {
         let mut rig = Rig::new();

@@ -9,15 +9,16 @@
 //!
 //! ring-model --conform <preset> [--seed N] [--budget N]
 //!     Run the named soak preset (sequential, sequential_straggler,
-//!     quick, quick_straggler), project its recorded history onto the
+//!     quick, quick_straggler, or acceptance — the 10k-op schedule the
+//!     chaos_soak binary runs), project its recorded history onto the
 //!     abstract model, and check conformance. Exits non-zero on a
 //!     non-conformant history.
 //! ```
 
 use std::process::ExitCode;
 
-use ring_chaos::{run_soak, SoakConfig};
-use ring_model::conform::{check_conformance_with_budget, Conformance, DEFAULT_BUDGET};
+use ring_chaos::{run_soak, SoakConfig, Verdict};
+use ring_model::conform::{check_conformance_with_budget, DEFAULT_BUDGET};
 use ring_model::explore::explore;
 use ring_model::spec::Config;
 
@@ -35,7 +36,8 @@ fn parse_u64(s: &str) -> Option<u64> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ring-model --exhaustive\n       \
-         ring-model --conform <sequential|sequential_straggler|quick|quick_straggler> \
+         ring-model --conform \
+         <sequential|sequential_straggler|quick|quick_straggler|acceptance> \
          [--seed N] [--budget N]"
     );
     ExitCode::from(2)
@@ -74,6 +76,7 @@ fn run_conform(preset: &str, seed: u64, budget: u64) -> ExitCode {
         "sequential_straggler" => SoakConfig::sequential_straggler(seed),
         "quick" => SoakConfig::quick(seed),
         "quick_straggler" => SoakConfig::quick_straggler(seed),
+        "acceptance" => SoakConfig::acceptance(seed),
         other => {
             eprintln!("unknown preset: {other}");
             return usage();
@@ -91,12 +94,12 @@ fn run_conform(preset: &str, seed: u64, budget: u64) -> ExitCode {
     let verdict = check_conformance_with_budget(&report.history, budget);
     println!("  conformance: {verdict}");
     match verdict {
-        Conformance::Ok { .. } => ExitCode::SUCCESS,
+        Verdict::Ok { .. } => ExitCode::SUCCESS,
         // Budget exhaustion is a capacity statement, not a verdict;
         // surface it without failing CI (mirrors the linearizability
         // checker's treatment of Inconclusive).
-        Conformance::Inconclusive { .. } => ExitCode::SUCCESS,
-        Conformance::Violation { .. } => ExitCode::FAILURE,
+        Verdict::Inconclusive { .. } => ExitCode::SUCCESS,
+        Verdict::Violation(_) => ExitCode::FAILURE,
     }
 }
 

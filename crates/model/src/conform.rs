@@ -3,27 +3,31 @@
 //!
 //! The refinement mapping (`ring_chaos::abstract_events`, DESIGN.md
 //! §11) projects each concrete event onto an abstract versioned-register
-//! operation. This module then searches, per key (P-compositionality,
-//! like the linearizability checker), for an order of those operations
-//! that (a) respects real-time precedence and (b) steps the abstract
-//! register exactly as the model's write path allows.
+//! operation. The history oracle's search core (`ring_chaos::search`,
+//! the one the linearizability checker runs) then looks, per key, for
+//! an order of those operations that (a) respects real-time precedence
+//! and (b) steps the abstract register of this module exactly as the
+//! model's write path allows.
 //!
 //! This is deliberately stronger than bare linearizability over
 //! get/put: it cross-checks the *version numbers* the implementation
 //! handed out against the model's `CoordPrepare`/`CommitFlag`
 //! discipline:
 //!
-//! - **Version identity** (pre-pass): `(key, version)` names exactly
-//!   one value — two different tags under one version is an immediate
-//!   violation.
-//! - **Real-time version floor**: once any response proves version `v`
-//!   committed for a key, an operation *invoked after that response
-//!   returned* can never observe a smaller version as the key's latest.
+//! - **Version identity** (the search core's pre-pass): `(key,
+//!   version)` names exactly one value — two different tags under one
+//!   version is an immediate violation.
 //! - **Monotone read versions**: in linearization order, the versions
 //!   reads observe never decrease.
 //! - **Monotone version assignment**: writes whose tag was only ever
 //!   observed at one version must linearize in strictly increasing
 //!   version order (the `next_version` discipline).
+//! - **Real-time version floor**: once any response proves version `v`
+//!   committed for a key, an operation *invoked after that response
+//!   returned* can never observe a smaller version as the key's latest.
+//!   No separate rule: the proving response is definite and returned
+//!   first, so real time places it first, placing it raises the
+//!   register's `floor` to `v`, and the floor never drops.
 //!
 //! One concrete wrinkle the model must absorb: a client whose attempt
 //! times out retries with a fresh request id, so one *logical* op can
@@ -42,75 +46,22 @@
 //!
 //! Indefinite operations (timed-out or errored writes, projected with
 //! `returned_ns == u64::MAX`) may be placed anywhere after their
-//! invocation or omitted entirely — "maybe happened" semantics.
+//! invocation or omitted entirely — "maybe happened" semantics, which
+//! the search core owns.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
 
-use ring_chaos::abstract_events::{abstract_ops, AbstractKind, AbstractOp};
+use ring_chaos::abstract_events::{AbstractKind, AbstractOp};
+use ring_chaos::search::{search, Spec, Verdict};
 use ring_chaos::{History, Tag};
-use ring_kvs::Key;
 
 /// Default per-key search budget (memoized states); generous for soak
 /// histories, where per-key concurrency is bounded by the client count.
 pub const DEFAULT_BUDGET: u64 = 2_000_000;
 
-/// Verdict of a conformance check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Conformance {
-    /// Every key's subhistory refines the model.
-    Ok {
-        /// Keys checked.
-        keys: usize,
-        /// Memoized search states visited in total.
-        states: u64,
-    },
-    /// Some key's subhistory admits no conforming order.
-    Violation {
-        /// The offending key.
-        key: Key,
-        /// Human-readable evidence.
-        detail: String,
-    },
-    /// The search budget ran out on some keys; every other key passed.
-    Inconclusive {
-        /// Keys whose search was cut short.
-        keys: Vec<Key>,
-        /// Memoized search states visited in total.
-        states: u64,
-    },
-}
-
-impl Conformance {
-    /// True when the whole history conformed.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Conformance::Ok { .. })
-    }
-}
-
-impl fmt::Display for Conformance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Conformance::Ok { keys, states } => {
-                write!(f, "conforms: {keys} key(s), {states} search states")
-            }
-            Conformance::Violation { key, detail } => {
-                write!(f, "NON-CONFORMANT at key {key}:\n{detail}")
-            }
-            Conformance::Inconclusive { keys, states } => write!(
-                f,
-                "inconclusive on {} key(s) {:?} after {} search states; all others conform",
-                keys.len(),
-                keys,
-                states
-            ),
-        }
-    }
-}
-
 /// The abstract versioned register: the model's view of one key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Reg {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Reg {
     /// Current value's tag; `None` = absent (initial, or tombstoned).
     tag: Option<Tag>,
     /// Current value's version; `None` only when the last write's
@@ -122,364 +73,140 @@ struct Reg {
 }
 
 impl Reg {
-    fn initial() -> Reg {
+    /// The register after a write of `tag` commits at `version`.
+    fn written(&self, tag: Option<Tag>, version: Option<u64>) -> Option<Reg> {
+        match version {
+            // Pinned execution: the next_version discipline demands a
+            // fresh, larger version.
+            Some(v) => (v > self.floor).then_some(Reg {
+                tag,
+                version: Some(v),
+                floor: v,
+            }),
+            // Version unknown (deletes, lost responses): the write
+            // happened at *some* fresh version nobody ever observed.
+            None => Some(Reg {
+                tag,
+                version: None,
+                floor: self.floor,
+            }),
+        }
+    }
+}
+
+/// The versioned register: the model's write path as seen on one key.
+#[derive(Debug)]
+pub struct VersionedRegister;
+
+impl Spec for VersionedRegister {
+    type State = Reg;
+
+    fn initial(&self) -> Reg {
         Reg {
             tag: None,
             version: None,
             floor: 0,
         }
     }
-}
 
-/// Fixed-width applied-set bitmap, hashable for memoization.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Applied(Vec<u64>);
-
-impl Applied {
-    fn new(n: usize) -> Applied {
-        Applied(vec![0; n.div_ceil(64)])
-    }
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] >> (i % 64) & 1 == 1
-    }
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
-    }
-}
-
-enum KeySearch {
-    Conforms,
-    Fails,
-    OutOfBudget,
-}
-
-struct Search<'a> {
-    ops: &'a [AbstractOp],
-    /// Per op (index-aligned with `ops`), the highest version proven
-    /// committed by responses that returned before this op was invoked.
-    tfloor: &'a [u64],
-    seen: HashSet<(Applied, Reg)>,
-    budget: u64,
-    visited: u64,
-}
-
-impl Search<'_> {
-    /// All legal register steps for linearizing op `i` next (an apply,
-    /// plus a skip for indefinite ops).
-    fn apply_choices(&self, reg: &Reg, i: usize) -> Vec<Reg> {
-        let op = &self.ops[i];
-        let mut out = Vec::new();
-        match &op.kind {
-            AbstractKind::Write {
-                tag,
-                version,
-                definite,
-            } => {
-                match *version {
-                    // Pinned execution: the next_version discipline
-                    // demands a fresh, larger version.
-                    Some(v) => {
-                        if v > reg.floor {
-                            out.push(Reg {
-                                tag: *tag,
-                                version: Some(v),
-                                floor: v,
-                            });
-                        }
-                    }
-                    // Version unknown (deletes, lost responses): the
-                    // write happened at *some* fresh version nobody
-                    // ever observed.
-                    None => out.push(Reg {
-                        tag: *tag,
-                        version: None,
-                        floor: reg.floor,
-                    }),
-                }
-                if !definite {
-                    out.push(reg.clone()); // May not have happened.
-                }
-            }
-            AbstractKind::Rewrite { version, definite } => {
-                // A move rewrites an existing value under a fresh
-                // version. (A retried move's extra bumps surface as
-                // extra observed versions of the *value's* tag, which
-                // the execution split already turned into synthetic
-                // writes.)
-                if reg.tag.is_some() {
-                    match *version {
-                        Some(v) => {
-                            if v > reg.floor {
-                                out.push(Reg {
-                                    tag: reg.tag,
-                                    version: Some(v),
-                                    floor: v,
-                                });
-                            }
-                        }
-                        None => out.push(Reg {
-                            tag: reg.tag,
-                            version: None,
-                            floor: reg.floor,
-                        }),
-                    }
-                }
-                if !definite {
-                    out.push(reg.clone());
-                }
-            }
-            AbstractKind::Read { observed } => {
-                let Some((tag, vo)) = observed else {
-                    // Timed-out/errored read: observed nothing,
-                    // constrains nothing.
-                    out.push(reg.clone());
-                    return out;
-                };
-                if *tag != reg.tag {
-                    return out;
-                }
-                match *vo {
-                    None => out.push(reg.clone()),
-                    Some(vo) => {
-                        // The observed version is the key's committed
-                        // latest at bind time: it can never undercut
-                        // the real-time floor, never decrease across
-                        // linearized observations, and must agree with
-                        // a pinned current version exactly.
-                        if vo < self.tfloor[i] || vo < reg.floor {
-                            return out;
-                        }
-                        if let Some(vr) = reg.version {
-                            if vo != vr {
-                                return out;
-                            }
-                        }
-                        let mut r = reg.clone();
-                        r.floor = vo;
-                        out.push(r);
-                    }
-                }
-            }
-            AbstractKind::Noop => out.push(reg.clone()),
-        }
-        out
-    }
-
-    /// Depth-first search for a conforming order of the remaining ops.
-    /// Real-time rule: an op may go next only if no *other* unapplied
-    /// op returned before it was invoked.
-    fn dfs(&mut self, applied: &mut Applied, reg: &Reg, remaining: usize) -> KeySearch {
-        if remaining == 0 {
-            return KeySearch::Conforms;
-        }
-        if self.visited >= self.budget {
-            return KeySearch::OutOfBudget;
-        }
-        self.visited += 1;
-        if !self.seen.insert((applied.clone(), reg.clone())) {
-            return KeySearch::Fails; // Memoized dead end.
-        }
-
-        // Earliest return among unapplied ops bounds which may go next.
-        let mut min_ret = u64::MAX;
-        for (i, op) in self.ops.iter().enumerate() {
-            if !applied.get(i) && op.returned_ns < min_ret {
-                min_ret = op.returned_ns;
-            }
-        }
-        for i in 0..self.ops.len() {
-            if applied.get(i) || self.ops[i].invoked_ns > min_ret {
-                continue;
-            }
-            for next in self.apply_choices(reg, i) {
-                applied.set(i);
-                match self.dfs(applied, &next, remaining - 1) {
-                    KeySearch::Conforms => return KeySearch::Conforms,
-                    KeySearch::Fails => {}
-                    KeySearch::OutOfBudget => {
-                        applied.clear(i);
-                        return KeySearch::OutOfBudget;
-                    }
-                }
-                applied.clear(i);
-            }
-        }
-        KeySearch::Fails
-    }
-}
-
-fn render_ops(ops: &[AbstractOp]) -> String {
-    let mut s = String::new();
-    for op in ops {
-        s.push_str(&format!(
-            "  client {} op {} [{} .. {}]: {:?}\n",
-            op.client,
-            op.op,
-            op.invoked_ns,
-            if op.returned_ns == u64::MAX {
-                "∞".to_string()
-            } else {
-                op.returned_ns.to_string()
-            },
-            op.kind
-        ));
-    }
-    s
-}
-
-/// The version an op's *response* proves committed (for floors and the
-/// duplicate-evidence map).
-fn proven_version(op: &AbstractOp) -> Option<u64> {
-    match &op.kind {
-        AbstractKind::Write { version, .. } | AbstractKind::Rewrite { version, .. } => *version,
-        AbstractKind::Read { observed } => observed.and_then(|(_, v)| v),
-        AbstractKind::Noop => None,
-    }
-}
-
-/// Checks one key's abstract subhistory with a dedicated budget.
-fn check_key(ops: &[AbstractOp], budget: u64) -> (KeySearch, u64, Vec<AbstractOp>) {
-    // Every version each tag was observed at, from write responses and
-    // read observations. More than one ⇒ the op executed more than once
-    // (client retries under fresh request ids).
-    let mut versions_of: BTreeMap<Tag, BTreeSet<u64>> = BTreeMap::new();
-    for op in ops.iter() {
-        let observed = match &op.kind {
-            AbstractKind::Write {
-                tag: Some(t),
-                version: Some(v),
-                ..
-            } => Some((*t, *v)),
-            AbstractKind::Read {
-                observed: Some((Some(t), Some(v))),
-            } => Some((*t, *v)),
-            _ => None,
-        };
-        if let Some((t, v)) = observed {
+    /// Execution split: one pinned, definite write per observed version
+    /// of each tag. The response execution keeps its real-time window;
+    /// the extra executions' commits may land arbitrarily late.
+    fn prepare(&self, ops: &mut Vec<AbstractOp>) {
+        // Every version each tag was observed at, from write responses
+        // and read observations. More than one ⇒ the op executed more
+        // than once (client retries under fresh request ids).
+        let mut versions_of: BTreeMap<Tag, BTreeSet<u64>> = BTreeMap::new();
+        for (t, v) in ops.iter().filter_map(AbstractOp::observed_version) {
             versions_of.entry(t).or_default().insert(v);
         }
-    }
 
-    // Versions a move's response accounts for: a read after a move
-    // observes the moved value's tag at the move's version, which the
-    // Rewrite op itself pins during the search — no synthetic needed.
-    let move_versions: BTreeSet<u64> = ops
-        .iter()
-        .filter_map(|op| match op.kind {
-            AbstractKind::Rewrite { version, .. } => version,
-            _ => None,
-        })
-        .collect();
+        // Versions a move's response accounts for: a read after a move
+        // observes the moved value's tag at the move's version, which
+        // the Rewrite op itself pins during the search — no synthetic
+        // needed.
+        let move_versions: BTreeSet<u64> = ops
+            .iter()
+            .filter_map(|op| match op.kind {
+                AbstractKind::Rewrite { version, .. } => version,
+                _ => None,
+            })
+            .collect();
 
-    // Execution split: one pinned, definite write per observed version
-    // of each tag. The response execution keeps its real-time window;
-    // the extra executions' commits may land arbitrarily late.
-    let mut expanded: Vec<AbstractOp> = Vec::with_capacity(ops.len());
-    for op in ops.iter() {
-        expanded.push(*op);
-        if let AbstractKind::Write {
-            tag: Some(t),
-            version,
-            ..
-        } = op.kind
-        {
+        for i in 0..ops.len() {
+            let op = ops[i];
+            let AbstractKind::Write {
+                tag: Some(t),
+                version,
+                ..
+            } = op.kind
+            else {
+                continue;
+            };
             let Some(vs) = versions_of.get(&t) else {
                 continue;
             };
             for &v in vs {
                 if Some(v) != version && !move_versions.contains(&v) {
-                    expanded.push(AbstractOp {
+                    ops.push(AbstractOp {
                         returned_ns: u64::MAX,
                         kind: AbstractKind::Write {
                             tag: Some(t),
                             version: Some(v),
                             definite: true,
                         },
-                        ..*op
+                        synthetic: true,
+                        ..op
                     });
                 }
             }
         }
     }
-    // Stable order by invocation keeps the search deterministic.
-    expanded.sort_by_key(|op| (op.invoked_ns, op.client, op.op, op.returned_ns));
 
-    // Real-time floor: responses carrying a version prove the key's
-    // committed-latest reached it by their return time.
-    let tfloor: Vec<u64> = expanded
-        .iter()
-        .map(|op| {
-            expanded
-                .iter()
-                .filter(|p| p.returned_ns < op.invoked_ns)
-                .filter_map(proven_version)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-
-    let mut search = Search {
-        ops: &expanded,
-        tfloor: &tfloor,
-        seen: HashSet::new(),
-        budget,
-        visited: 0,
-    };
-    let mut applied = Applied::new(expanded.len());
-    let n = expanded.len();
-    let verdict = search.dfs(&mut applied, &Reg::initial(), n);
-    let visited = search.visited;
-    (verdict, visited, expanded)
+    fn step(&self, reg: &Reg, op: &AbstractOp) -> Option<Reg> {
+        match op.kind {
+            AbstractKind::Write { tag, version, .. } => reg.written(tag, version),
+            // A move rewrites an existing value under a fresh version.
+            // (A retried move's extra bumps surface as extra observed
+            // versions of the *value's* tag, which the execution split
+            // already turned into synthetic writes.)
+            AbstractKind::Rewrite { version, .. } => {
+                reg.tag.and_then(|_| reg.written(reg.tag, version))
+            }
+            // Timed-out/errored read: observed nothing, constrains
+            // nothing.
+            AbstractKind::Read { observed: None } | AbstractKind::Noop => Some(*reg),
+            AbstractKind::Read {
+                observed: Some((tag, observed)),
+            } => {
+                if tag != reg.tag {
+                    return None;
+                }
+                let Some(vo) = observed else {
+                    return Some(*reg);
+                };
+                // The observed version is the key's committed latest at
+                // bind time: it can never decrease across linearized
+                // observations (nor, therefore, undercut the real-time
+                // floor), and must agree with a pinned current version
+                // exactly.
+                let agrees = reg.version.is_none_or(|vr| vr == vo);
+                (vo >= reg.floor && agrees).then_some(Reg { floor: vo, ..*reg })
+            }
+        }
+    }
 }
 
 /// Checks a whole history against the abstract model, per key, with a
 /// per-key search `budget`. A hard violation outranks any budget
 /// exhaustion elsewhere; budget exhaustion on one key never silences
 /// the remaining keys.
-pub fn check_conformance_with_budget(h: &History, budget: u64) -> Conformance {
-    if let Some(v) = ring_chaos::checker::check_version_consistency(h) {
-        return Conformance::Violation {
-            key: v.key,
-            detail: v.detail,
-        };
-    }
-    let by_key = abstract_ops(h);
-    let mut total_states = 0u64;
-    let mut inconclusive = Vec::new();
-    let mut keys = 0usize;
-    for (key, ops) in by_key.iter() {
-        keys += 1;
-        let (verdict, visited, expanded) = check_key(ops, budget);
-        total_states += visited;
-        match verdict {
-            KeySearch::Conforms => {}
-            KeySearch::Fails => {
-                return Conformance::Violation {
-                    key: *key,
-                    detail: render_ops(&expanded),
-                }
-            }
-            KeySearch::OutOfBudget => inconclusive.push(*key),
-        }
-    }
-    if inconclusive.is_empty() {
-        Conformance::Ok {
-            keys,
-            states: total_states,
-        }
-    } else {
-        Conformance::Inconclusive {
-            keys: inconclusive,
-            states: total_states,
-        }
-    }
+pub fn check_conformance_with_budget(h: &History, budget: u64) -> Verdict {
+    search(&VersionedRegister, h, budget)
 }
 
 /// [`check_conformance_with_budget`] at [`DEFAULT_BUDGET`].
-pub fn check_conformance(h: &History) -> Conformance {
+pub fn check_conformance(h: &History) -> Verdict {
     check_conformance_with_budget(h, DEFAULT_BUDGET)
 }
 
@@ -487,6 +214,7 @@ pub fn check_conformance(h: &History) -> Conformance {
 mod tests {
     use super::*;
     use ring_chaos::history::{Event, Invocation, Outcome};
+    use ring_chaos::search::Violation;
 
     fn put(client: u32, op: u64, key: u64, t: u64, ver: Option<u64>) -> Event {
         Event {
@@ -549,7 +277,7 @@ mod tests {
         };
         assert!(matches!(
             check_conformance(&h),
-            Conformance::Violation { key: 7, .. }
+            Verdict::Violation(Violation { key: 7, .. })
         ));
     }
 
@@ -567,7 +295,7 @@ mod tests {
         };
         assert!(matches!(
             check_conformance(&h),
-            Conformance::Violation { key: 7, .. }
+            Verdict::Violation(Violation { key: 7, .. })
         ));
     }
 
@@ -580,7 +308,7 @@ mod tests {
         };
         assert!(matches!(
             check_conformance(&h),
-            Conformance::Violation { key: 7, .. }
+            Verdict::Violation(Violation { key: 7, .. })
         ));
     }
 
@@ -621,7 +349,7 @@ mod tests {
         };
         assert!(matches!(
             check_conformance(&h),
-            Conformance::Violation { key: 7, .. }
+            Verdict::Violation(Violation { key: 7, .. })
         ));
     }
 
@@ -662,8 +390,58 @@ mod tests {
         };
         assert!(matches!(
             check_conformance(&h),
-            Conformance::Violation { key: 7, .. }
+            Verdict::Violation(Violation { key: 7, .. })
         ));
+    }
+
+    #[test]
+    fn both_specs_run_the_same_driver() {
+        use ring_chaos::PlainRegister;
+        // Key 7 blows a tiny budget (overlapping maybe-writes); keys 8
+        // and 9 are cheap and clean.
+        let mut events = Vec::new();
+        for i in 0..24u64 {
+            events.push(put(i as u32, 0, 7, 0, None));
+        }
+        for key in [8, 9] {
+            events.push(put(0, key, key, 0, Some(1)));
+            events.push(get(0, key + 10, key, 100, Some((0, key, 1))));
+        }
+        let both = |h: &History, budget| {
+            [
+                search(&PlainRegister, h, budget),
+                search(&VersionedRegister, h, budget),
+            ]
+        };
+        let clean = History {
+            events: events.clone(),
+        };
+        for verdict in both(&clean, u64::MAX) {
+            assert!(matches!(verdict, Verdict::Ok { keys: 3, .. }), "{verdict}");
+        }
+        for verdict in both(&clean, 10) {
+            match verdict {
+                Verdict::Inconclusive { keys, states } => {
+                    assert_eq!(keys, vec![7], "only key 7 ran out of budget");
+                    assert!(states > 10, "the clean keys were searched too");
+                }
+                other => panic!("expected inconclusive, got {other}"),
+            }
+        }
+        // A stale read behind the blown key outranks it.
+        events.push(put(0, 20, 9, 200, Some(2)));
+        events.push(get(0, 21, 9, 300, Some((0, 9, 1))));
+        for verdict in both(
+            &History {
+                events: events.clone(),
+            },
+            10,
+        ) {
+            assert!(
+                matches!(verdict, Verdict::Violation(Violation { key: 9, .. })),
+                "{verdict}"
+            );
+        }
     }
 
     #[test]
@@ -682,7 +460,7 @@ mod tests {
         // Budget below the op count: even one conforming order cannot
         // be completed within it.
         match check_conformance_with_budget(&h, 10) {
-            Conformance::Inconclusive { keys, .. } => assert_eq!(keys, vec![7]),
+            Verdict::Inconclusive { keys, .. } => assert_eq!(keys, vec![7]),
             other => panic!("expected inconclusive, got {other:?}"),
         }
     }

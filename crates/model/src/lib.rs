@@ -19,9 +19,11 @@
 //!   checker has teeth.
 //! - [`conform`]: trace conformance. Every seeded chaos-soak history is
 //!   projected through `ring_chaos::abstract_events` (the refinement
-//!   mapping of DESIGN.md §11) and replayed against the model's
-//!   abstract versioned register — cross-checking the version numbers
-//!   the real cluster handed out, not just its values.
+//!   mapping of DESIGN.md §11) and judged by the history oracle's one
+//!   search core (`ring_chaos::search`, shared with the
+//!   linearizability checker) against this crate's spec of a key: the
+//!   model's abstract versioned register — cross-checking the version
+//!   numbers the real cluster handed out, not just its values.
 //!
 //! The `ring-model` binary drives all three: `--exhaustive` for the
 //! state-space sweep, `--conform <preset>` for soak conformance (the
@@ -31,6 +33,6 @@ pub mod conform;
 pub mod explore;
 pub mod spec;
 
-pub use conform::{check_conformance, check_conformance_with_budget, Conformance};
+pub use conform::{check_conformance, check_conformance_with_budget, VersionedRegister};
 pub use explore::{explore, Report, Trace};
 pub use spec::{check_invariants, successors, Action, Bug, Config, State};

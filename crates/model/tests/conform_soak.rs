@@ -2,8 +2,8 @@
 //! projected through the refinement mapping, must replay cleanly
 //! against the abstract model — version numbers included.
 
-use ring_chaos::{run_soak, SoakConfig};
-use ring_model::conform::{check_conformance, Conformance};
+use ring_chaos::{run_soak, SoakConfig, Verdict};
+use ring_model::conform::check_conformance;
 
 #[test]
 fn sequential_soak_history_conforms() {
@@ -11,7 +11,7 @@ fn sequential_soak_history_conforms() {
     assert!(report.passed(), "sequential soak must linearize");
     let verdict = check_conformance(&report.history);
     match &verdict {
-        Conformance::Ok { keys, states } => {
+        Verdict::Ok { keys, states, .. } => {
             assert!(*keys > 0);
             assert!(*states > 0);
         }
@@ -41,7 +41,7 @@ fn straggler_soak_history_conforms() {
     }
     let verdict = check_conformance(&report.history);
     assert!(
-        !matches!(verdict, Conformance::Violation { .. }),
+        !matches!(verdict, Verdict::Violation(_)),
         "straggler history must not violate conformance: {verdict}"
     );
 }
