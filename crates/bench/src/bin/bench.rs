@@ -18,7 +18,9 @@
 //!   regressed by more than 3x (a guard against accidentally reverting
 //!   to byte-at-a-time loops, loose enough for shared-runner noise).
 //!   Also guards this run's own `tail_latency` section: the rows must
-//!   exist and p999 at Δ=1 must not exceed p999 at Δ=0.
+//!   exist and p999 at Δ=1 must not exceed p999 at Δ=0; and its own
+//!   `fabric_hop` row: what the host adds to a hop (`rdma_us −
+//!   instant_us`) may not exceed 25 µs.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -31,12 +33,30 @@ use ring_bench::workbench::{memgest_id, paper_cluster};
 use ring_chaos::{StragglerProfile, StragglerSpec};
 use ring_gf::{region, Gf256};
 use ring_kvs::{Cluster, ClusterSpec};
+use ring_net::{Fabric, LatencyModel, WireSize};
 use ring_server::harness::{find_binary, LoopbackCluster, LoopbackSpec};
 use serde::Serialize;
 
 /// Maximum tolerated slowdown vs the committed baseline before
 /// `--check` fails the run.
 const MAX_REGRESSION: f64 = 3.0;
+
+/// Most a fabric hop may cost beyond `LatencyModel::instant()` before
+/// `--check` fails the run: 10x the 2.5 µs `LatencyModel::rdma()`
+/// injects for 1 KiB. A receiver parked in a timed condvar wait costs
+/// ~70 µs here; one that polls its mailbox, 2–3 µs.
+const MAX_HOP_OVERHEAD_US: f64 = 25.0;
+
+/// One-way latency of a 1 KiB message between two fabric endpoints on
+/// two threads — the mailbox layer alone, no protocol above it.
+#[derive(Serialize)]
+struct FabricHop {
+    /// Under `LatencyModel::rdma()`: every message is queued 2.5 µs
+    /// before it is due.
+    rdma_us: f64,
+    /// Under `LatencyModel::instant()`: due when pushed.
+    instant_us: f64,
+}
 
 #[derive(Serialize)]
 struct GfRow {
@@ -88,6 +108,7 @@ struct Report {
     seed: u64,
     smoke: bool,
     gf: Vec<GfRow>,
+    fabric_hop: FabricHop,
     e2e: Vec<E2eRow>,
     /// Degraded-read tail latency at Δ ∈ {0, 1, 2}: the late-binding
     /// `k + Δ` fan-out must collapse the p999 a straggling redundancy
@@ -157,6 +178,63 @@ fn run_gf(smoke: bool) -> Vec<GfRow> {
         });
     }
     rows
+}
+
+#[derive(Clone)]
+struct Ping(Vec<u8>);
+
+impl WireSize for Ping {
+    fn wire_size(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Half the median round trip of a 1 KiB ping-pong under `latency`.
+fn hop_us(latency: LatencyModel, round_trips: usize) -> f64 {
+    let fabric: Fabric<Ping> = Fabric::new(latency);
+    let a = fabric.register(0).expect("fresh fabric");
+    let b = fabric.register(1).expect("fresh fabric");
+    let echo = std::thread::spawn(move || {
+        while let Ok((from, msg)) = b.recv() {
+            if b.send(from, msg).is_err() {
+                break;
+            }
+        }
+    });
+    let mut hist = LatencyHistogram::new();
+    for _ in 0..round_trips {
+        let t0 = Instant::now();
+        a.send(1, Ping(vec![7; 1024])).expect("echo is registered");
+        a.recv().expect("echo answers");
+        hist.record(t0.elapsed());
+    }
+    fabric.kill(1);
+    echo.join().expect("echo thread");
+    hist.quantile(0.5).as_secs_f64() * 1e6 / 2.0
+}
+
+fn run_fabric_hop(smoke: bool) -> FabricHop {
+    let round_trips = if smoke { 2_000 } else { 20_000 };
+    FabricHop {
+        rdma_us: hop_us(LatencyModel::rdma(), round_trips),
+        instant_us: hop_us(LatencyModel::instant(), round_trips),
+    }
+}
+
+/// Guards the fabric-hop row: the receive path may add at most
+/// [`MAX_HOP_OVERHEAD_US`] to a hop whose message is queued ahead of
+/// its due time.
+fn check_fabric_hop(hop: &FabricHop) -> Vec<String> {
+    let overhead = hop.rdma_us - hop.instant_us;
+    if overhead <= MAX_HOP_OVERHEAD_US {
+        return Vec::new();
+    }
+    vec![format!(
+        "fabric_hop: an rdma hop costs {overhead:.1}us more than an instant one \
+         ({:.1}us vs {:.1}us, limit {MAX_HOP_OVERHEAD_US}us) — receivers are \
+         sleeping through the injected latency instead of polling across it",
+        hop.rdma_us, hop.instant_us
+    )]
 }
 
 fn run_e2e(smoke: bool) -> (u64, Vec<E2eRow>) {
@@ -448,6 +526,11 @@ fn main() {
     for r in &gf {
         println!("  {:>12} len {:>6}: {:9.0} MB/s", r.op, r.len, r.mbps);
     }
+    let fabric_hop = run_fabric_hop(smoke);
+    println!(
+        "Fabric hop (1 KiB ping-pong, one way): rdma {:.1}us  instant {:.1}us",
+        fabric_hop.rdma_us, fabric_hop.instant_us
+    );
     let (seed, e2e) = run_e2e(smoke);
     println!("Degraded-read tail latency (straggling parity, k+Δ fan-out):");
     let tail_latency = run_tail_latency(smoke);
@@ -459,6 +542,7 @@ fn main() {
         seed,
         smoke,
         gf,
+        fabric_hop,
         e2e,
         tail_latency,
         tcp_loopback,
@@ -473,11 +557,12 @@ fn main() {
         let baseline: serde_json::Value =
             serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline JSON: {e}"));
         let mut problems = check_against(&baseline, &report.gf);
+        problems.extend(check_fabric_hop(&report.fabric_hop));
         problems.extend(check_tail(&report.tail_latency));
         if problems.is_empty() {
             println!("check vs {path}: ok");
         } else {
-            eprintln!("GF kernel regression check failed:");
+            eprintln!("bench check failed:");
             for p in &problems {
                 eprintln!("  {p}");
             }

@@ -1,13 +1,18 @@
 //! A timestamp-ordered mailbox: packets become visible at `deliver_at`.
 //!
-//! A binary heap keyed on `(deliver_at, seq)` keeps deliveries in
-//! simulated-arrival order even when messages with different injected
-//! latencies interleave. Receivers block on a condvar: with a head
-//! packet that is not due yet they sleep in a timed `wait_until(due)`
-//! (there is no spin near the due time), otherwise until the next push.
-//! ringbench's isolated rows put that timed path at 67 µs per hop
-//! against 0.9 µs for `LatencyModel::instant()` when both ends share a
-//! core — the next fabric-side suspect, deliberately left alone here.
+//! A `Mutex<BinaryHeap>` keyed on `(deliver_at, seq)` keeps deliveries
+//! in simulated-arrival order even when messages with different injected
+//! latencies interleave; a condvar parks the one receiver.
+//! [`Mailbox::recv`] is the only park path: with a head packet that is
+//! not due yet it sleeps in a timed `wait_until(due)`, otherwise until
+//! the next push. That is right for an idle receiver and is all the TCP
+//! backend does, but every park costs the next message a futex wake of
+//! a halted vCPU, so the fabric's `Endpoint` polls `len` / `is_closed` /
+//! `try_recv` for a bounded time before it calls `recv` (see
+//! `endpoint.rs`). Nothing here knows about that poll; it is safe
+//! because `recv` re-checks the heap under the lock before every wait,
+//! so a poll whose last lock-free look said "empty" cannot sleep
+//! through a push.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

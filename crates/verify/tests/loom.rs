@@ -16,7 +16,11 @@
 //!    mirror never disagrees with the heap length at quiescence, and a
 //!    blocked receiver is always woken by a concurrent push or close
 //!    (no lost wakeup) — also when a whole batch arrives under one lock
-//!    with a single `notify_one` (`push_batch`, the TCP readers' path).
+//!    with a single `notify_one` (`push_batch`, the TCP readers' path),
+//!    and also when a hot fabric endpoint polls before it parks
+//!    (`crates/net/src/endpoint.rs`): its last lock-free look may say
+//!    "empty" just before a push, so the park must re-check under the
+//!    lock before it waits.
 //! 2. **Payload** (`crates/net/src/payload.rs`): one buffer shared by a
 //!    retransmit path and a dedup path is readable from both and freed
 //!    exactly once.
@@ -100,12 +104,117 @@ impl MiniMailbox {
             }
             let (guard, timeout) = self.cond.wait_timeout(q, Duration::from_secs(5)).unwrap();
             q = guard;
+            // Every push and close notifies the one waiter, so a wait
+            // that runs out was slept through — also when the push it
+            // missed is sitting in the queue by now.
             assert!(
-                !timeout.timed_out() || !q.is_empty() || self.closed.load(Ordering::Acquire),
-                "lost wakeup: receiver timed out with no push and no close observed"
+                !timeout.timed_out(),
+                "lost wakeup: receiver slept {} message(s) and closed={} out",
+                q.len(),
+                self.closed.load(Ordering::Acquire)
             );
         }
     }
+}
+
+/// `NetError::Closed` in miniature.
+#[derive(Debug, PartialEq)]
+struct Closed;
+
+impl MiniMailbox {
+    /// `Mailbox::try_recv`: the head if there is one, without waiting.
+    fn try_recv(&self) -> Result<Option<u32>, Closed> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(Closed);
+        }
+        let mut q = self.queue.lock().unwrap();
+        if q.is_empty() {
+            return Ok(None);
+        }
+        let v = q.remove(0);
+        self.count.store(q.len(), Ordering::Relaxed);
+        Ok(Some(v))
+    }
+
+    /// `Endpoint::receive` on a hot endpoint: up to `looks` looks at the
+    /// lock-free `count` mirror and `closed` flag — the lock is taken
+    /// only when they say there is something to take — yielding between
+    /// looks, then the unchanged park. `looks` stands in for the time
+    /// budget, which loom cannot express.
+    fn recv_hot(&self, looks: usize) -> Option<u32> {
+        for _ in 0..looks {
+            if self.count.load(Ordering::Relaxed) > 0 || self.closed.load(Ordering::Acquire) {
+                match self.try_recv() {
+                    Ok(Some(v)) => return Some(v),
+                    Ok(None) => {}
+                    Err(Closed) => return None,
+                }
+            }
+            thread::yield_now();
+        }
+        self.recv()
+    }
+}
+
+/// Poll-then-park model: the consumer is a hot endpoint. Every
+/// interleaving of its looks with the producers' pushes must end with
+/// all three messages received — in particular the one where the last
+/// look reads a stale or just-too-early `count == 0`, the producer then
+/// pushes and notifies nobody (the consumer is not waiting yet), and the
+/// consumer goes to park: `recv` re-checks the queue under the lock
+/// before it waits, so the message is taken there instead of slept on.
+#[test]
+fn mailbox_poll_then_park_loses_no_wakeup() {
+    loom::model(|| {
+        let mb = Arc::new(MiniMailbox::new());
+
+        let batcher = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || mb.push_batch(&[1, 2]))
+        };
+        let single = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || mb.push(10))
+        };
+        let consumer = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || {
+                (0..3)
+                    .map(|_| mb.recv_hot(2).expect("closed before all messages drained"))
+                    .collect::<Vec<_>>()
+            })
+        };
+
+        batcher.join().unwrap();
+        single.join().unwrap();
+        let mut got = consumer.join().unwrap();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 10], "a push was lost");
+
+        let q = mb.queue.lock().unwrap();
+        assert_eq!(q.len(), 0);
+        assert_eq!(mb.count.load(Ordering::Relaxed), 0, "count mirror diverged");
+    });
+}
+
+/// Poll-then-park model: `close` (production: `Fabric::kill`) racing a
+/// hot receiver ends the receive with "closed" whether it lands before
+/// the poll, between two looks, or after the receiver has parked.
+#[test]
+fn mailbox_close_ends_a_polling_receiver() {
+    loom::model(|| {
+        let mb = Arc::new(MiniMailbox::new());
+        let rx = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || mb.recv_hot(2))
+        };
+        let closer = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || mb.close())
+        };
+        closer.join().unwrap();
+        assert_eq!(rx.join().unwrap(), None);
+    });
 }
 
 /// Batch model: one reader thread delivers three messages with a single
