@@ -20,9 +20,11 @@
 //!   Also guards this run's own `tail_latency` section: the rows must
 //!   exist and p999 at Δ=1 must not exceed p999 at Δ=0; and its own
 //!   `fabric_hop` row: what the host adds to a hop (`rdma_us −
-//!   instant_us`) may not exceed 25 µs.
+//!   instant_us`) may not exceed 25 µs. The `tcp_hop` row beside it is
+//!   recorded, not guarded: loopback cost depends on the host.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,7 +35,10 @@ use ring_bench::workbench::{memgest_id, paper_cluster};
 use ring_chaos::{StragglerProfile, StragglerSpec};
 use ring_gf::{region, Gf256};
 use ring_kvs::{Cluster, ClusterSpec};
-use ring_net::{Fabric, LatencyModel, WireSize};
+use ring_net::{
+    Codec, Fabric, FrameBuf, LatencyModel, NetError, NodeId, TcpOptions, TcpTransport, Transport,
+    WireSize,
+};
 use ring_server::harness::{find_binary, LoopbackCluster, LoopbackSpec};
 use serde::Serialize;
 
@@ -56,6 +61,14 @@ struct FabricHop {
     rdma_us: f64,
     /// Under `LatencyModel::instant()`: due when pushed.
     instant_us: f64,
+}
+
+/// One-way latency of a 1 KiB message between two in-process
+/// `TcpTransport`s over loopback: framing, sockets, one reader thread
+/// per side and the mailbox receive path, no protocol above them.
+#[derive(Serialize)]
+struct TcpHop {
+    us: f64,
 }
 
 #[derive(Serialize)]
@@ -109,6 +122,7 @@ struct Report {
     smoke: bool,
     gf: Vec<GfRow>,
     fabric_hop: FabricHop,
+    tcp_hop: TcpHop,
     e2e: Vec<E2eRow>,
     /// Degraded-read tail latency at Δ ∈ {0, 1, 2}: the late-binding
     /// `k + Δ` fan-out must collapse the p999 a straggling redundancy
@@ -189,28 +203,57 @@ impl WireSize for Ping {
     }
 }
 
-/// Half the median round trip of a 1 KiB ping-pong under `latency`.
+struct PingCodec;
+
+impl Codec<Ping> for PingCodec {
+    fn encode(&self, msg: &Ping, out: &mut FrameBuf) {
+        out.put_bytes(&msg.0);
+    }
+
+    fn decode(&self, body: &[u8]) -> Result<Ping, NetError> {
+        Ok(Ping(body.to_vec()))
+    }
+}
+
+/// Half the median round trip of a 1 KiB ping-pong from `a` to an echo
+/// on node 1, `b`, after 100 warm-up round trips (the first also opens
+/// a TCP connection); `stop` ends the echo.
+fn ping_pong_us<T: Transport<Ping> + Sync>(
+    a: &T,
+    b: &T,
+    round_trips: usize,
+    stop: impl FnOnce(),
+) -> f64 {
+    const WARM_UP: usize = 100;
+    let mut hist = LatencyHistogram::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while let Ok((from, msg)) = b.recv_timeout(Duration::from_secs(5)) {
+                if b.send(from, msg).is_err() {
+                    break;
+                }
+            }
+        });
+        for i in 0..WARM_UP + round_trips {
+            let t0 = Instant::now();
+            a.send(1, Ping(vec![7; 1024])).expect("a is open");
+            a.recv_timeout(Duration::from_secs(5))
+                .expect("echo answers");
+            if i >= WARM_UP {
+                hist.record(t0.elapsed());
+            }
+        }
+        stop();
+    });
+    hist.quantile(0.5).as_secs_f64() * 1e6 / 2.0
+}
+
+/// One fabric hop under `latency`.
 fn hop_us(latency: LatencyModel, round_trips: usize) -> f64 {
     let fabric: Fabric<Ping> = Fabric::new(latency);
     let a = fabric.register(0).expect("fresh fabric");
     let b = fabric.register(1).expect("fresh fabric");
-    let echo = std::thread::spawn(move || {
-        while let Ok((from, msg)) = b.recv() {
-            if b.send(from, msg).is_err() {
-                break;
-            }
-        }
-    });
-    let mut hist = LatencyHistogram::new();
-    for _ in 0..round_trips {
-        let t0 = Instant::now();
-        a.send(1, Ping(vec![7; 1024])).expect("echo is registered");
-        a.recv().expect("echo answers");
-        hist.record(t0.elapsed());
-    }
-    fabric.kill(1);
-    echo.join().expect("echo thread");
-    hist.quantile(0.5).as_secs_f64() * 1e6 / 2.0
+    ping_pong_us(&a, &b, round_trips, || fabric.kill(1))
 }
 
 fn run_fabric_hop(smoke: bool) -> FabricHop {
@@ -218,6 +261,26 @@ fn run_fabric_hop(smoke: bool) -> FabricHop {
     FabricHop {
         rdma_us: hop_us(LatencyModel::rdma(), round_trips),
         instant_us: hop_us(LatencyModel::instant(), round_trips),
+    }
+}
+
+/// One loopback hop between two `TcpTransport`s in this process.
+fn run_tcp_hop(smoke: bool) -> TcpHop {
+    let round_trips = if smoke { 2_000 } else { 20_000 };
+    let peers: BTreeMap<NodeId, SocketAddr> = (0..2)
+        .map(|id| {
+            let probe = TcpListener::bind("127.0.0.1:0").expect("loopback port");
+            (id, probe.local_addr().expect("local addr"))
+        })
+        .collect();
+    let bind = |id: NodeId| {
+        let codec = Arc::new(PingCodec);
+        TcpTransport::bind(id, peers[&id], peers.clone(), codec, TcpOptions::default())
+            .expect("bind loopback")
+    };
+    let (a, b) = (bind(0), bind(1));
+    TcpHop {
+        us: ping_pong_us(&a, &b, round_trips, || b.close()),
     }
 }
 
@@ -531,6 +594,11 @@ fn main() {
         "Fabric hop (1 KiB ping-pong, one way): rdma {:.1}us  instant {:.1}us",
         fabric_hop.rdma_us, fabric_hop.instant_us
     );
+    let tcp_hop = run_tcp_hop(smoke);
+    println!(
+        "TCP hop (1 KiB ping-pong over loopback, one way): {:.1}us",
+        tcp_hop.us
+    );
     let (seed, e2e) = run_e2e(smoke);
     println!("Degraded-read tail latency (straggling parity, k+Δ fan-out):");
     let tail_latency = run_tail_latency(smoke);
@@ -543,6 +611,7 @@ fn main() {
         smoke,
         gf,
         fabric_hop,
+        tcp_hop,
         e2e,
         tail_latency,
         tcp_loopback,

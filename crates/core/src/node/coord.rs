@@ -110,8 +110,8 @@ impl<T: Transport<Msg>> Node<T> {
     }
 
     /// Answers `client` with an error. `KeyNotFound` means the key was
-    /// never written, its latest version is a tombstone, or its memgest
-    /// is gone.
+    /// never written, its latest version is a committed tombstone, or
+    /// its memgest is gone.
     pub(super) fn fail(&mut self, client: ClientTag, err: RingError) {
         self.respond(client, ClientResp::Error(err));
     }
@@ -440,14 +440,17 @@ impl<T: Transport<Msg>> Node<T> {
     // ---- Read binding ----
 
     /// Binds a get or move to the highest version of `key`, whichever
-    /// memgest holds it (Section 5.2).
+    /// memgest holds it (Section 5.2); a parked delete that is released
+    /// goes back to `delete_highest`.
     pub(super) fn bind_highest(&mut self, g: GroupId, key: Key, waiter: Waiter) {
         let client = waiter.client();
-        if let Waiter::Move { dst, .. } = waiter {
-            if !self.catalog.contains_key(&dst) {
+        match waiter {
+            Waiter::Move { dst, .. } if !self.catalog.contains_key(&dst) => {
                 self.fail(client, RingError::UnknownMemgest(dst));
                 return;
             }
+            Waiter::Delete(_) => return self.delete_highest(g, key, client),
+            _ => {}
         }
         match self.groups[&g].volatile.highest(key) {
             Some((version, mid)) => self.bind(g, mid, key, version, waiter, &mut None),
@@ -499,6 +502,7 @@ impl<T: Transport<Msg>> Node<T> {
                     Waiter::Move { dst, .. } => {
                         self.local_write(g, dst, key, value, false, OnCommit::ReplyMove(client))
                     }
+                    Waiter::Delete(_) => unreachable!("a delete binds through delete_highest"),
                 }
             }
             steps::ReadDecision::Recover => {
@@ -523,14 +527,14 @@ impl<T: Transport<Msg>> Node<T> {
         version: Version,
         mut waiters: Vec<Waiter>,
     ) {
-        // Gets first: a released move's destination write can commit at
+        // Gets first: a released move's or delete's write can commit at
         // once and prune this version from under the gets pinned to it.
-        waiters.sort_by_key(|w| matches!(w, Waiter::Move { .. }));
+        waiters.sort_by_key(|w| !matches!(w, Waiter::Get(_)));
         let mut shared = None;
         for w in waiters {
             match w {
                 Waiter::Get(_) => self.bind(g, mid, key, version, w, &mut shared),
-                Waiter::Move { .. } => self.bind_highest(g, key, w),
+                Waiter::Move { .. } | Waiter::Delete(_) => self.bind_highest(g, key, w),
             }
         }
     }
@@ -542,34 +546,34 @@ impl<T: Transport<Msg>> Node<T> {
             return;
         };
         self.dedup_open(from, req);
+        self.delete_highest(g, key, (from, req));
+    }
+
+    /// A delete is a tombstone written to the memgest holding the key's
+    /// highest version, and commits under that memgest's redundancy
+    /// rule. Deleting a key whose latest version is already a committed
+    /// tombstone is a miss, not a second delete; behind an uncommitted
+    /// one the delete parks, like a get or move, and is decided again
+    /// when released — that tombstone may never commit.
+    fn delete_highest(&mut self, g: GroupId, key: Key, client: ClientTag) {
         let gs = self.groups.get_mut(&g).expect("owned group");
         let Some((version, mid)) = gs.volatile.highest(key) else {
-            self.fail((from, req), RingError::KeyNotFound);
+            self.fail(client, RingError::KeyNotFound);
             return;
         };
-        // Deleting a key whose latest version is already a tombstone is
-        // a miss, not a second delete.
-        let already_deleted = gs
+        let tombstone = gs
             .coord
-            .get(&mid)
-            .and_then(|c| c.meta.get(key, version))
-            .map(|e| e.tombstone)
-            .unwrap_or(false);
-        if already_deleted {
-            self.fail((from, req), RingError::KeyNotFound);
-            return;
+            .get_mut(&mid)
+            .and_then(|c| c.meta.get_mut(key, version))
+            .filter(|e| e.tombstone);
+        match tombstone {
+            None => {
+                let on_commit = OnCommit::ReplyDelete(client);
+                self.local_write(g, mid, key, Payload::empty(), true, on_commit);
+            }
+            Some(e) if !e.committed => e.waiters.push(Waiter::Delete(client)),
+            Some(_) => self.fail(client, RingError::KeyNotFound),
         }
-        // A delete is a tombstone written to the memgest currently
-        // holding the highest version, and commits under that memgest's
-        // redundancy rule.
-        self.local_write(
-            g,
-            mid,
-            key,
-            Payload::empty(),
-            true,
-            OnCommit::ReplyDelete((from, req)),
-        );
     }
 
     // ---- Move ----

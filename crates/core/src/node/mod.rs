@@ -689,9 +689,9 @@ impl<T: Transport<Msg>> Node<T> {
     /// still in flight to it — awaiting acks or stalled behind a parity
     /// rebuild — are failed back to their clients: they can never commit
     /// now, and an unanswered write would leave its client to time out
-    /// and its dedup slot `InFlight` forever. Gets and moves parked on
-    /// its entries bind again to whatever the key's highest version is
-    /// without it.
+    /// and its dedup slot `InFlight` forever. Gets, moves and deletes
+    /// parked on its entries bind again to whatever the key's highest
+    /// version is without it.
     pub(crate) fn drop_memgest(&mut self, id: MemgestId) {
         self.catalog.remove(&id);
         let mut orphaned: Vec<OnCommit> = Vec::new();

@@ -29,12 +29,14 @@ pub enum Waiter {
         /// Destination memgest.
         dst: MemgestId,
     },
+    /// A delete waiting for the uncommitted tombstone ahead of it.
+    Delete(ClientTag),
 }
 
 impl Waiter {
     /// The client the parked request must eventually answer.
     pub fn client(&self) -> ClientTag {
-        let (Waiter::Get(client) | Waiter::Move { client, .. }) = self;
+        let (Waiter::Get(client) | Waiter::Move { client, .. } | Waiter::Delete(client)) = self;
         *client
     }
 }

@@ -203,6 +203,53 @@ fn move_waits_for_an_uncommitted_delete() {
 }
 
 #[test]
+fn delete_waits_for_an_uncommitted_delete() {
+    // A second delete looks at the key's highest version too. While that
+    // version is a tombstone that has not committed, the key is not gone
+    // yet: `KeyNotFound` now would acknowledge a delete that a crash can
+    // still undo, after which a get returns the old value.
+    let cluster = Cluster::start(spec());
+    let (key, coordinator, replica) = pick_key(&cluster);
+    let mut first = cluster.client();
+    let mut second = cluster.client();
+    first.put_to(key, b"doomed", 1).unwrap();
+
+    cluster.fabric().fail_link(coordinator, replica);
+    first.set_timeout(Duration::from_secs(5)); // One attempt outlasts the cut.
+    second.set_timeout(Duration::from_secs(5));
+    let d1 = first.delete_nb(key).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+
+    let d2 = second.delete_nb(key).unwrap();
+    std::thread::sleep(Duration::from_millis(80));
+    assert!(
+        second.poll().is_empty(),
+        "answered off an uncommitted tombstone"
+    );
+    assert!(
+        first.poll().is_empty(),
+        "the first delete cannot commit yet"
+    );
+
+    cluster.fabric().heal_link(coordinator, replica);
+    let done = first.drain();
+    assert!(
+        matches!(done.as_slice(), [(req, Ok(ClientResp::DeleteOk))] if *req == d1),
+        "{done:?}"
+    );
+    // The tombstone it waited on has committed: now the key is gone.
+    let done = second.drain();
+    assert!(
+        matches!(
+            done.as_slice(),
+            [(req, Ok(ClientResp::Error(RingError::KeyNotFound)))] if *req == d2
+        ),
+        "{done:?}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn versions_are_monotone_across_interleavings() {
     let cluster = Cluster::start(spec());
     let key = 777u64;

@@ -1,26 +1,16 @@
 //! A node's handle to the fabric.
 //!
-//! Receiving is one path with a prelude. An RDMA node polls its
-//! completion queue; a receiver parked on the mailbox condvar instead
-//! pays a futex wake of a halted vCPU on every hop, an order of
-//! magnitude more than the 2.5 µs the latency model injects. So a *hot*
-//! endpoint — one whose previous blocking receive returned a message —
-//! first polls its mailbox for at most [`SPIN_THRESHOLD`], yielding the
-//! CPU between looks, and only then parks in `Mailbox::recv` like a cold
-//! one. The yield is load-bearing (a cluster is more threads than the
-//! host has cores; a pure spin starves the sender it is waiting for),
-//! and so is the hot rule: a receive that times out makes the next one
-//! park at once, so idle nodes and housekeeping loops cost what a plain
-//! condvar wait costs. The TCP backend never polls: a real server blocks
-//! in the kernel (DESIGN §10).
+//! Receiving is the mailbox's: `recv` / `recv_timeout` call
+//! `Mailbox::recv` — the one receive path both backends share, which
+//! polls while hot and then parks (see `mailbox.rs`) — and count the
+//! message it returns.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::fabric::{FabricInner, NodeSlot};
 use crate::fault::FaultAction;
-use crate::latency::{spin_wait, SPIN_THRESHOLD};
+use crate::latency::spin_wait;
 use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, WireSize};
 
 /// A registered node's endpoint: two-sided messaging, one-sided verbs,
@@ -29,10 +19,6 @@ pub struct Endpoint<M> {
     id: NodeId,
     slot: Arc<NodeSlot<M>>,
     fabric: Arc<FabricInner<M>>,
-    // Whether the previous blocking receive returned a message; only
-    // then does the next one poll before parking. A scheduling hint read
-    // and written by the receiving thread: it publishes nothing.
-    hot: AtomicBool,
 }
 
 impl<M> std::fmt::Debug for Endpoint<M> {
@@ -47,12 +33,7 @@ impl<M: Send + WireSize> Endpoint<M> {
         slot: Arc<NodeSlot<M>>,
         fabric: Arc<FabricInner<M>>,
     ) -> Endpoint<M> {
-        Endpoint {
-            id,
-            slot,
-            fabric,
-            hot: AtomicBool::new(false),
-        }
+        Endpoint { id, slot, fabric }
     }
 
     /// This endpoint's node id.
@@ -85,49 +66,14 @@ impl<M: Send + WireSize> Endpoint<M> {
     }
 
     /// The blocking receive behind [`Endpoint::recv`] and
-    /// [`Endpoint::recv_timeout`]: the poll phase if this endpoint is
-    /// hot, then the mailbox's condvar park for what is left of
-    /// `timeout`. Only a returned message counts as a receive.
-    fn receive(&self, mut timeout: Option<Duration>) -> Result<(NodeId, M), NetError> {
-        let mut polled = Ok(None);
-        if self.hot.load(Ordering::Relaxed) {
-            let start = crate::clock::now();
-            let budget = timeout.map_or(SPIN_THRESHOLD, |t| t.min(SPIN_THRESHOLD));
-            polled = self.poll(start + budget);
-            let spent = crate::clock::now() - start;
-            timeout = timeout.map(|t| t.saturating_sub(spent));
-        }
-        let r = polled.and_then(|found| match found {
-            Some(m) => Ok(m),
-            None => self.slot.mailbox.recv(timeout),
-        });
+    /// [`Endpoint::recv_timeout`]. Only a returned message counts as a
+    /// receive; the mailbox's looks do not.
+    fn receive(&self, timeout: Option<Duration>) -> Result<(NodeId, M), NetError> {
+        let r = self.slot.mailbox.recv(timeout);
         if let Ok((_, msg)) = &r {
             self.slot.stats.record_recv(msg.wire_size());
         }
-        self.hot.store(r.is_ok(), Ordering::Relaxed);
         r
-    }
-
-    /// Looks at the mailbox until a message is due, the endpoint is
-    /// killed, or `until` passes, yielding the CPU between looks. A head
-    /// that is queued but not yet due is waited for here too, never by a
-    /// timed park. An empty open mailbox is seen through the lock-free
-    /// length mirror, so senders do not contend with the poll; a stale
-    /// "empty" costs one more look, and the park that follows re-checks
-    /// under the lock (loom: `mailbox_poll_then_park_loses_no_wakeup`).
-    fn poll(&self, until: Instant) -> Result<Option<(NodeId, M)>, NetError> {
-        let mailbox = &self.slot.mailbox;
-        loop {
-            if mailbox.len() > 0 || mailbox.is_closed() {
-                if let Some(m) = mailbox.try_recv()? {
-                    return Ok(Some(m));
-                }
-            }
-            if crate::clock::now() >= until {
-                return Ok(None);
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// Returns a due message if one is queued, without blocking.
@@ -303,6 +249,8 @@ impl<M: Send + WireSize + Clone> Endpoint<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
     use crate::{Fabric, LatencyModel};
 
@@ -411,41 +359,24 @@ mod tests {
     }
 
     /// A pair whose endpoint 1 has just received a message, i.e. is hot.
-    fn hot_pair(latency: LatencyModel) -> (Fabric<Msg>, Endpoint<Msg>, Endpoint<Msg>) {
-        let f = Fabric::new(latency);
-        let a = f.register(0).unwrap();
-        let b = f.register(1).unwrap();
-        assert!(!b.hot.load(Ordering::Relaxed), "a fresh endpoint is cold");
+    /// The poll itself is tested on the mailbox; these tests drive it
+    /// through the endpoint.
+    fn hot_pair() -> (Fabric<Msg>, Endpoint<Msg>, Endpoint<Msg>) {
+        let (f, a, b) = pair();
+        assert!(!b.slot.mailbox.is_hot(), "a fresh endpoint is cold");
         a.send(1, Msg(vec![0])).unwrap();
         b.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(b.hot.load(Ordering::Relaxed));
+        assert!(b.slot.mailbox.is_hot());
         (f, a, b)
     }
 
     #[test]
-    fn poll_phase_sees_a_push_from_another_thread() {
-        let (_f, a, b) = hot_pair(LatencyModel::instant());
-        let go = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                go.wait();
-                a.send(1, Msg(vec![7])).unwrap();
-            });
-            go.wait();
-            // The poll alone, with a horizon the test never reaches: it
-            // cannot park, so the message is found by a look.
-            let got = b.poll(Instant::now() + Duration::from_secs(60)).unwrap();
-            assert_eq!(got, Some((0, Msg(vec![7]))));
-        });
-    }
-
-    #[test]
     fn hot_endpoint_parks_after_the_budget_and_is_woken() {
-        let (_f, a, b) = hot_pair(LatencyModel::instant());
+        let (_f, a, b) = hot_pair();
         std::thread::scope(|s| {
             s.spawn(|| {
                 // Far past the poll budget: the receiver is parked.
-                std::thread::sleep(SPIN_THRESHOLD * 200);
+                std::thread::sleep(crate::latency::SPIN_THRESHOLD * 200);
                 a.send(1, Msg(vec![8])).unwrap();
             });
             let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -456,47 +387,18 @@ mod tests {
     }
 
     #[test]
-    fn polled_message_is_not_returned_before_deliver_at() {
-        let model = LatencyModel::rdma();
-        let (_f, a, b) = hot_pair(model);
-        for _ in 0..100 {
-            let sent = Instant::now();
-            a.send(1, Msg(vec![1; 1024])).unwrap();
-            b.recv().unwrap();
-            assert!(sent.elapsed() >= model.delay(1024));
-        }
-    }
-
-    #[test]
     fn timeout_on_a_hot_endpoint_is_full_length_and_leaves_it_cold() {
-        let (_f, a, b) = hot_pair(LatencyModel::instant());
+        let (_f, a, b) = hot_pair();
         let start = Instant::now();
         let r = b.recv_timeout(Duration::from_millis(10));
         assert_eq!(r.unwrap_err(), NetError::Timeout);
         assert!(start.elapsed() >= Duration::from_millis(10));
-        // Cold: `receive` enters the poll only when this flag is set, so
-        // the next call parks at once.
-        assert!(!b.hot.load(Ordering::Relaxed));
+        // Cold: the mailbox enters the poll only when hot, so the next
+        // call parks at once.
+        assert!(!b.slot.mailbox.is_hot());
         a.send(1, Msg(vec![9])).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Msg(vec![9])));
-        assert!(b.hot.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn kill_during_the_poll_phase_returns_closed() {
-        let (f, _a, b) = hot_pair(LatencyModel::instant());
-        let go = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                go.wait();
-                f.kill(1);
-            });
-            go.wait();
-            let r = b.poll(Instant::now() + Duration::from_secs(60));
-            assert_eq!(r.unwrap_err(), NetError::Closed);
-        });
-        assert_eq!(b.recv().unwrap_err(), NetError::Closed);
-        assert!(!b.hot.load(Ordering::Relaxed));
+        assert!(b.slot.mailbox.is_hot());
     }
 
     #[test]

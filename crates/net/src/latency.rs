@@ -4,8 +4,8 @@ use std::time::Duration;
 
 /// Threshold below which delays spin instead of sleeping: `thread::sleep`
 /// on Linux has tens-of-microseconds granularity, far coarser than an
-/// RDMA hop. Also the budget of a hot endpoint's receive poll
-/// (`Endpoint::recv`): both stand in for polling a completion queue.
+/// RDMA hop. Also the budget of a hot mailbox's receive poll
+/// (`Mailbox::recv`): both stand in for polling a completion queue.
 pub(crate) const SPIN_THRESHOLD: Duration = Duration::from_micros(100);
 
 /// A per-hop latency model: `delay = base + per_byte * bytes`.

@@ -3,16 +3,18 @@
 //! A `Mutex<BinaryHeap>` keyed on `(deliver_at, seq)` keeps deliveries
 //! in simulated-arrival order even when messages with different injected
 //! latencies interleave; a condvar parks the one receiver.
-//! [`Mailbox::recv`] is the only park path: with a head packet that is
-//! not due yet it sleeps in a timed `wait_until(due)`, otherwise until
-//! the next push. That is right for an idle receiver and is all the TCP
-//! backend does, but every park costs the next message a futex wake of
-//! a halted vCPU, so the fabric's `Endpoint` polls `len` / `is_closed` /
-//! `try_recv` for a bounded time before it calls `recv` (see
-//! `endpoint.rs`). Nothing here knows about that poll; it is safe
-//! because `recv` re-checks the heap under the lock before every wait,
-//! so a poll whose last lock-free look said "empty" cannot sleep
-//! through a push.
+//!
+//! [`Mailbox::recv`] is the receive path of both backends (`Endpoint`,
+//! `TcpTransport`). An RDMA node polls its completion queue; a receiver
+//! parked on the condvar pays a futex wake of a halted vCPU for the next
+//! message — ten times the fabric's injected 2.5 µs, and the second of a
+//! TCP loopback hop's two wake-ups. So a *hot* mailbox (its previous
+//! `recv` returned a message) first polls for at most [`SPIN_THRESHOLD`],
+//! yielding between looks, and only then parks. The yield is
+//! load-bearing (a cluster is more threads than the host has cores; a
+//! pure spin starves the sender it waits for), and so is the hot rule: a
+//! receive that times out makes the next one park at once, so idle nodes
+//! and housekeeping loops cost what a plain condvar wait costs.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::latency::SPIN_THRESHOLD;
 use crate::{NetError, NodeId};
 
 struct Packet<M> {
@@ -61,6 +64,10 @@ pub(crate) struct Mailbox<M> {
     // the heap lock. Updated while holding the lock, read lock-free; the
     // value is advisory and may lag a concurrent push/pop by one.
     count: AtomicUsize,
+    // Whether the previous `recv` returned a message; only then does the
+    // next one poll before parking. A scheduling hint read and written
+    // by the receiving thread: it publishes nothing.
+    hot: AtomicBool,
 }
 
 impl<M> Mailbox<M> {
@@ -71,6 +78,7 @@ impl<M> Mailbox<M> {
             seq: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             count: AtomicUsize::new(0),
+            hot: AtomicBool::new(false),
         })
     }
 
@@ -130,9 +138,50 @@ impl<M> Mailbox<M> {
         self.closed.load(AtomicOrdering::Acquire)
     }
 
-    /// Blocking receive with an optional deadline.
+    /// Blocking receive with an optional timeout: the poll if this
+    /// mailbox is hot, then the condvar park until the deadline.
     pub(crate) fn recv(&self, timeout: Option<Duration>) -> Result<(NodeId, M), NetError> {
-        let deadline = timeout.map(|t| crate::clock::now() + t);
+        let now = crate::clock::now();
+        let deadline = timeout.map(|t| now + t);
+        let mut polled = Ok(None);
+        if self.is_hot() {
+            let budget_end = now + SPIN_THRESHOLD;
+            polled = self.poll(deadline.map_or(budget_end, |d| d.min(budget_end)));
+        }
+        let r = polled.and_then(|found| found.map_or_else(|| self.park(deadline), Ok));
+        self.hot.store(r.is_ok(), AtomicOrdering::Relaxed);
+        r
+    }
+
+    /// Whether the next [`Mailbox::recv`] polls before it parks.
+    pub(crate) fn is_hot(&self) -> bool {
+        self.hot.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Looks until a message is due, the mailbox is closed or `until`
+    /// passes, yielding between looks; a head not yet due is waited for
+    /// here, never by a timed park. "Empty" is read from the lock-free
+    /// mirror, so senders do not contend with the poll; the park that
+    /// follows re-checks under the lock (loom:
+    /// `mailbox_poll_then_park_loses_no_wakeup`).
+    fn poll(&self, until: Instant) -> Result<Option<(NodeId, M)>, NetError> {
+        loop {
+            if self.len() > 0 || self.is_closed() {
+                if let Some(m) = self.try_recv()? {
+                    return Ok(Some(m));
+                }
+            }
+            if crate::clock::now() >= until {
+                return Ok(None);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// The condvar wait behind [`Mailbox::recv`]: a timed
+    /// `wait_until(due)` behind a head not due yet, otherwise until the
+    /// next push, `deadline` or `close`.
+    fn park(&self, deadline: Option<Instant>) -> Result<(NodeId, M), NetError> {
         let mut heap = self.heap.lock();
         loop {
             if self.closed.load(AtomicOrdering::Acquire) {
@@ -279,6 +328,62 @@ mod tests {
         mb.close();
         mb.push_batch([(1, 1u32)], at);
         assert_eq!(mb.len(), 0, "a batch to a closed mailbox vanishes");
+    }
+
+    /// A mailbox whose previous receive returned a message, i.e. is hot.
+    fn hot_mailbox() -> Arc<Mailbox<u32>> {
+        let mb = Mailbox::new();
+        assert!(!mb.is_hot(), "a fresh mailbox is cold");
+        mb.push(0, 0, Instant::now());
+        mb.recv(Some(Duration::from_secs(5))).unwrap();
+        assert!(mb.is_hot());
+        mb
+    }
+
+    #[test]
+    fn poll_phase_sees_a_push_from_another_thread() {
+        let mb = hot_mailbox();
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                mb.push(1, 7, Instant::now());
+            });
+            go.wait();
+            // The poll alone, with a horizon the test never reaches: it
+            // cannot park, so the message is found by a look.
+            let got = mb.poll(Instant::now() + Duration::from_secs(60)).unwrap();
+            assert_eq!(got, Some((1, 7)));
+        });
+    }
+
+    #[test]
+    fn polled_message_is_not_returned_before_deliver_at() {
+        let mb = hot_mailbox();
+        let delay = crate::LatencyModel::rdma().delay(1024);
+        for i in 0..100 {
+            let sent = Instant::now();
+            mb.push(1, i, sent + delay);
+            assert_eq!(mb.recv(None).unwrap(), (1, i));
+            assert!(sent.elapsed() >= delay);
+        }
+    }
+
+    #[test]
+    fn close_during_the_poll_phase_returns_closed() {
+        let mb = hot_mailbox();
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                mb.close();
+            });
+            go.wait();
+            let r = mb.poll(Instant::now() + Duration::from_secs(60));
+            assert_eq!(r.unwrap_err(), NetError::Closed);
+        });
+        assert_eq!(mb.recv(None).unwrap_err(), NetError::Closed);
+        assert!(!mb.is_hot());
     }
 
     #[test]

@@ -31,9 +31,11 @@
 //!   parses every frame one `read` returned and hands the decoded
 //!   messages to the mailbox under one lock and one wake-up.
 //!
-//! Incoming application messages land in the same timestamp-ordered
-//! [`Mailbox`] the sim uses (with delivery due immediately), so recv
-//! ordering and timeout behaviour are shared code.
+//! - **One receive path.** Messages land in the sim's [`Mailbox`] (due
+//!   at once) and `recv_timeout` is its `recv`: a hot receiver polls
+//!   before it parks, so a hop pays one wake-up (the reader thread's),
+//!   not two. Corked frames are released first. Reader threads block in
+//!   the kernel; polling there too was measured slower (DESIGN §10).
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -229,6 +231,12 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         self.inner.mailbox.len()
     }
 
+    /// Whether the next blocking receive polls before it parks: the
+    /// previous one returned a message.
+    pub fn is_hot(&self) -> bool {
+        self.inner.mailbox.is_hot()
+    }
+
     /// Shuts the endpoint down: wakes blocked receivers with
     /// [`NetError::Closed`], writes out corked frames, closes every
     /// stream so reader threads exit, and stops the accept thread — the
@@ -287,7 +295,7 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
     /// Corked frames are written out, oldest first per peer, by whichever
     /// comes first: a `send` that finds the mailbox empty;
     /// `recv_timeout`/`try_recv` finding nothing deliverable (before
-    /// blocking or returning `None`); [`TcpTransport::flush`]; any
+    /// polling or returning `None`); [`TcpTransport::flush`]; any
     /// one-sided verb; `close()` or drop; or the total across all peers
     /// reaching 64 frames or 128 KiB. Counters are recorded here either
     /// way.
@@ -565,15 +573,13 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), NetError> {
-        // Out of input: release what was corked before going to sleep.
-        let r = match self.inner.mailbox.try_recv() {
-            Ok(Some(m)) => Ok(m),
-            Ok(None) => {
-                self.inner.flush_corked();
-                self.inner.mailbox.recv(Some(timeout))
-            }
-            Err(e) => Err(e),
-        };
+        // Out of input: release what was corked before polling or
+        // parking. A non-zero length is a message already due (every
+        // push is due at once), so it is returned without a wait.
+        if self.queued() == 0 {
+            self.inner.flush_corked();
+        }
+        let r = self.inner.mailbox.recv(Some(timeout));
         if let Ok((_, msg)) = &r {
             self.inner.stats.record_recv(msg.wire_size());
         }

@@ -17,8 +17,8 @@
 //!    blocked receiver is always woken by a concurrent push or close
 //!    (no lost wakeup) — also when a whole batch arrives under one lock
 //!    with a single `notify_one` (`push_batch`, the TCP readers' path),
-//!    and also when a hot fabric endpoint polls before it parks
-//!    (`crates/net/src/endpoint.rs`): its last lock-free look may say
+//!    and also when a hot receiver polls before it parks
+//!    (`Mailbox::recv`, both backends): its last lock-free look may say
 //!    "empty" just before a push, so the park must re-check under the
 //!    lock before it waits.
 //! 2. **Payload** (`crates/net/src/payload.rs`): one buffer shared by a
@@ -136,7 +136,7 @@ impl MiniMailbox {
         Ok(Some(v))
     }
 
-    /// `Endpoint::receive` on a hot endpoint: up to `looks` looks at the
+    /// `Mailbox::recv` on a hot mailbox: up to `looks` looks at the
     /// lock-free `count` mirror and `closed` flag — the lock is taken
     /// only when they say there is something to take — yielding between
     /// looks, then the unchanged park. `looks` stands in for the time
@@ -156,7 +156,7 @@ impl MiniMailbox {
     }
 }
 
-/// Poll-then-park model: the consumer is a hot endpoint. Every
+/// Poll-then-park model: the consumer is a hot receiver. Every
 /// interleaving of its looks with the producers' pushes must end with
 /// all three messages received — in particular the one where the last
 /// look reads a stale or just-too-early `count == 0`, the producer then
