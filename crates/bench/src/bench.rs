@@ -1,16 +1,20 @@
-//! Performance baseline harness: GF kernel throughput plus end-to-end
-//! put/get latency and pipelined put throughput per scheme.
+//! The `bench` subcommand, the performance baseline: GF kernel
+//! throughput, the parity-delta vs re-encode ablation, one fabric and
+//! one loopback-TCP hop, end-to-end put/get latency and pipelined put
+//! throughput per scheme, degraded-read tail latency and the same ops
+//! over real `ring-server` processes.
 //!
 //! Writes `BENCH_ring.json` at the repo root (committed, so regressions
 //! are visible in review) and can audit a fresh run against a committed
 //! baseline:
 //!
 //! ```text
-//! bench [--smoke] [--out <path>] [--check <path>]
+//! ring-bench bench [--quick] [--out <path>] [--check <path>]
 //! ```
 //!
-//! - `--smoke`: few iterations; numbers are noisy but the file is
-//!   produced quickly (the CI smoke job).
+//! - `--quick`: few iterations; numbers are noisy but the file is
+//!   produced quickly (the CI smoke job). The report records it as
+//!   `smoke`.
 //! - `--out <path>`: where to write the JSON (default
 //!   `<repo>/BENCH_ring.json`).
 //! - `--check <path>`: compare this run's GF kernel throughput against
@@ -20,19 +24,17 @@
 //!   Also guards this run's own `tail_latency` section: the rows must
 //!   exist and p999 at Δ=1 must not exceed p999 at Δ=0; and its own
 //!   `fabric_hop` row: what the host adds to a hop (`rdma_us −
-//!   instant_us`) may not exceed 25 µs. The `tcp_hop` row beside it is
-//!   recorded, not guarded: loopback cost depends on the host.
+//!   instant_us`) may not exceed 25 µs. The `tcp_hop` and
+//!   `parity_update` rows are recorded, not guarded.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hint::black_box;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ring_bench::hist::LatencyHistogram;
-use ring_bench::measure::{get_latency, move_latency, put_latency};
-use ring_bench::output::results_dir;
-use ring_bench::workbench::{memgest_id, paper_cluster};
 use ring_chaos::{StragglerProfile, StragglerSpec};
+use ring_erasure::Rs;
 use ring_gf::{region, Gf256};
 use ring_kvs::{Cluster, ClusterSpec};
 use ring_net::{
@@ -41,6 +43,13 @@ use ring_net::{
 };
 use ring_server::harness::{find_binary, LoopbackCluster, LoopbackSpec};
 use serde::Serialize;
+
+use crate::hist::LatencyHistogram;
+use crate::measure::{get_latency, move_latency, put_latency};
+use crate::output::repo_root;
+use crate::report::{f, s};
+use crate::workbench::{memgest_id, paper_cluster};
+use crate::Args;
 
 /// Maximum tolerated slowdown vs the committed baseline before
 /// `--check` fails the run.
@@ -71,6 +80,7 @@ struct TcpHop {
     us: f64,
 }
 
+/// Throughput of one coding operation over `len`-byte inputs.
 #[derive(Serialize)]
 struct GfRow {
     op: &'static str,
@@ -121,6 +131,10 @@ struct Report {
     seed: u64,
     smoke: bool,
     gf: Vec<GfRow>,
+    /// The paper's put-path ablation (§3.2 "Update"): one data block of
+    /// an RS(3,2) object changes; `delta` ships parity deltas,
+    /// `reencode` re-encodes the stripe. MB/s counts object bytes.
+    parity_update: Vec<GfRow>,
     fabric_hop: FabricHop,
     tcp_hop: TcpHop,
     e2e: Vec<E2eRow>,
@@ -132,14 +146,6 @@ struct Report {
     /// `ring-server` deployment path). Empty when the server binaries
     /// were not built alongside the bench.
     tcp_loopback: Vec<TcpRow>,
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// MB/s of `f` run repeatedly over `len`-byte regions for ~`budget`.
@@ -159,37 +165,54 @@ fn gf_mbps(len: usize, budget: Duration, mut f: impl FnMut(&mut [u8], &[u8])) ->
     bytes as f64 / t0.elapsed().as_secs_f64() / 1e6
 }
 
-fn run_gf(smoke: bool) -> Vec<GfRow> {
-    let budget = if smoke {
-        Duration::from_millis(20)
-    } else {
-        Duration::from_millis(200)
-    };
-    let c = Gf256(0x53);
-    let mut rows = Vec::new();
+fn run_gf(quick: bool) -> Vec<GfRow> {
+    let budget = Duration::from_millis(if quick { 20 } else { 200 });
+    const C: Gf256 = Gf256(0x53);
+    let kernels = [
+        ("xor_into", region::xor_into as fn(&mut [u8], &[u8])),
+        ("mul_acc", |d, s| region::mul_acc(d, s, C)),
+        ("mul_into", |d, s| region::mul_into(d, s, C)),
+        ("mul_in_place", |d, _| region::mul_in_place(d, C)),
+    ];
     // 64 B sits at the SWAR threshold; 4 KiB and 64 KiB are firmly in
     // word-wide territory (parity blocks, recovery transfers).
+    let mut rows = Vec::new();
     for len in [64usize, 4096, 65536] {
-        rows.push(GfRow {
-            op: "xor_into",
-            len,
-            mbps: gf_mbps(len, budget, region::xor_into),
+        for (op, f) in kernels {
+            let mbps = gf_mbps(len, budget, f);
+            rows.push(GfRow { op, len, mbps });
+        }
+    }
+    rows
+}
+
+/// Delta update vs full re-encode of a `len`-byte object whose second
+/// data block changes, timed by [`gf_mbps`].
+fn run_parity_update(quick: bool) -> Vec<GfRow> {
+    let budget = Duration::from_millis(if quick { 20 } else { 200 });
+    let rs = Rs::new(3, 2).expect("valid params");
+    let mut rows = Vec::new();
+    for len in [4096usize, 65536] {
+        let object: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let stripe = rs.encode_object(&object).expect("encode");
+        let new_block: Vec<u8> = stripe.data[1].iter().map(|b| b ^ 0x5A).collect();
+        let delta = gf_mbps(len, budget, |_, _| {
+            let delta = region::delta(&stripe.data[1], &new_block);
+            let mut parity = stripe.parity.clone();
+            for (p, block) in parity.iter_mut().enumerate() {
+                Rs::apply_parity_delta(block, &rs.parity_delta(p, 1, &delta));
+            }
+            black_box(parity);
         });
-        rows.push(GfRow {
-            op: "mul_acc",
-            len,
-            mbps: gf_mbps(len, budget, |d, s| region::mul_acc(d, s, c)),
+        let reencode = gf_mbps(len, budget, |_, _| {
+            let mut data = stripe.data.clone();
+            data[1] = new_block.clone();
+            let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            black_box(rs.encode(&refs).expect("encode"));
         });
-        rows.push(GfRow {
-            op: "mul_into",
-            len,
-            mbps: gf_mbps(len, budget, |d, s| region::mul_into(d, s, c)),
-        });
-        rows.push(GfRow {
-            op: "mul_in_place",
-            len,
-            mbps: gf_mbps(len, budget, |d, _| region::mul_in_place(d, c)),
-        });
+        for (op, mbps) in [("delta", delta), ("reencode", reencode)] {
+            rows.push(GfRow { op, len, mbps });
+        }
     }
     rows
 }
@@ -256,8 +279,8 @@ fn hop_us(latency: LatencyModel, round_trips: usize) -> f64 {
     ping_pong_us(&a, &b, round_trips, || fabric.kill(1))
 }
 
-fn run_fabric_hop(smoke: bool) -> FabricHop {
-    let round_trips = if smoke { 2_000 } else { 20_000 };
+fn run_fabric_hop(quick: bool) -> FabricHop {
+    let round_trips = if quick { 2_000 } else { 20_000 };
     FabricHop {
         rdma_us: hop_us(LatencyModel::rdma(), round_trips),
         instant_us: hop_us(LatencyModel::instant(), round_trips),
@@ -265,8 +288,8 @@ fn run_fabric_hop(smoke: bool) -> FabricHop {
 }
 
 /// One loopback hop between two `TcpTransport`s in this process.
-fn run_tcp_hop(smoke: bool) -> TcpHop {
-    let round_trips = if smoke { 2_000 } else { 20_000 };
+fn run_tcp_hop(quick: bool) -> TcpHop {
+    let round_trips = if quick { 2_000 } else { 20_000 };
     let peers: BTreeMap<NodeId, SocketAddr> = (0..2)
         .map(|id| {
             let probe = TcpListener::bind("127.0.0.1:0").expect("loopback port");
@@ -300,13 +323,9 @@ fn check_fabric_hop(hop: &FabricHop) -> Vec<String> {
     )]
 }
 
-fn run_e2e(smoke: bool) -> (u64, Vec<E2eRow>) {
-    let reps = if smoke { 40 } else { 400 };
-    let throughput_budget = if smoke {
-        Duration::from_millis(150)
-    } else {
-        Duration::from_millis(1000)
-    };
+fn run_e2e(quick: bool) -> (u64, Vec<E2eRow>) {
+    let reps = if quick { 40 } else { 400 };
+    let throughput_budget = Duration::from_millis(if quick { 150 } else { 1000 });
     let value_len = 1024usize;
     let cluster = paper_cluster();
     let seed = 0x52_49_4E_47; // ClusterSpec::default().seed ("RING").
@@ -363,8 +382,8 @@ fn run_e2e(smoke: bool) -> (u64, Vec<E2eRow>) {
 /// from the straggler; with Δ >= 1 the fan-out also contacts parity 4
 /// and the decode binds to the first `k` rows, so the straggle drops
 /// out of the tail.
-fn run_tail_latency(smoke: bool) -> Vec<TailRow> {
-    let keys_total = if smoke { 900u64 } else { 4500 };
+fn run_tail_latency(quick: bool) -> Vec<TailRow> {
+    let keys_total = if quick { 900u64 } else { 4500 };
     let straggle = StragglerSpec {
         slow_nodes: 1,
         slow_prob: 0.4,
@@ -452,10 +471,10 @@ fn run_tail_latency(smoke: bool) -> Vec<TailRow> {
 /// section, so the two transports sit side by side in the report.
 ///
 /// Skips (returning an empty vec) when the server binaries are not
-/// next to the bench executable — `cargo run --bin bench` does not
+/// next to the bench executable — `cargo run -p ring-bench` does not
 /// build them; `cargo build --release -p ring-server` first, or let CI
 /// do it.
-fn run_tcp_loopback(smoke: bool) -> Vec<TcpRow> {
+fn run_tcp_loopback(quick: bool) -> Vec<TcpRow> {
     if find_binary("ring-server").is_none() || find_binary("ring-cli").is_none() {
         println!(
             "tcp_loopback: skipped (ring-server / ring-cli binaries not found; \
@@ -463,7 +482,7 @@ fn run_tcp_loopback(smoke: bool) -> Vec<TcpRow> {
         );
         return Vec::new();
     }
-    let reps = if smoke { 20 } else { 200 };
+    let reps = if quick { 20 } else { 200 };
     let value_len = 1024usize;
     let cluster = match LoopbackCluster::start(LoopbackSpec::default()) {
         Ok(c) => c,
@@ -549,14 +568,8 @@ fn check_against(baseline: &serde_json::Value, current: &[GfRow]) -> Vec<String>
         return vec!["baseline file has no `gf` section".to_string()];
     };
     for row in rows {
-        let (Some(op), Some(len), Some(base_mbps)) = (
-            row.get("op").and_then(|v| v.as_str()),
-            row.get("len").and_then(|v| v.as_u64()),
-            row.get("mbps").and_then(|v| v.as_f64()),
-        ) else {
-            continue;
-        };
-        let Some(cur) = current.iter().find(|r| r.op == op && r.len == len as usize) else {
+        let (op, len, base_mbps) = (s(row, "op"), f(row, "len") as usize, f(row, "mbps"));
+        let Some(cur) = current.iter().find(|r| r.op == op && r.len == len) else {
             problems.push(format!("kernel {op}/{len} missing from this run"));
             continue;
         };
@@ -570,46 +583,45 @@ fn check_against(baseline: &serde_json::Value, current: &[GfRow]) -> Vec<String>
     problems
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let out = arg_value("--out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            results_dir()
-                .parent()
-                .map(|p| p.join("BENCH_ring.json"))
-                .expect("repo root")
-        });
+/// The `bench` subcommand: exit code 1 when `--check` finds a problem.
+pub fn run(args: &Args) -> i32 {
+    let quick = args.quick;
+    let out = args
+        .out
+        .clone()
+        .unwrap_or_else(|| repo_root().join("BENCH_ring.json"));
 
     println!(
-        "GF kernel throughput ({}):",
-        if smoke { "smoke" } else { "full" }
+        "GF kernel and RS(3,2) parity-update throughput ({}):",
+        if quick { "quick" } else { "full" }
     );
-    let gf = run_gf(smoke);
-    for r in &gf {
+    let gf = run_gf(quick);
+    let parity_update = run_parity_update(quick);
+    for r in gf.iter().chain(&parity_update) {
         println!("  {:>12} len {:>6}: {:9.0} MB/s", r.op, r.len, r.mbps);
     }
-    let fabric_hop = run_fabric_hop(smoke);
+    let fabric_hop = run_fabric_hop(quick);
     println!(
         "Fabric hop (1 KiB ping-pong, one way): rdma {:.1}us  instant {:.1}us",
         fabric_hop.rdma_us, fabric_hop.instant_us
     );
-    let tcp_hop = run_tcp_hop(smoke);
+    let tcp_hop = run_tcp_hop(quick);
     println!(
         "TCP hop (1 KiB ping-pong over loopback, one way): {:.1}us",
         tcp_hop.us
     );
-    let (seed, e2e) = run_e2e(smoke);
+    let (seed, e2e) = run_e2e(quick);
     println!("Degraded-read tail latency (straggling parity, k+Δ fan-out):");
-    let tail_latency = run_tail_latency(smoke);
+    let tail_latency = run_tail_latency(quick);
     println!("TCP loopback (real ring-server processes):");
-    let tcp_loopback = run_tcp_loopback(smoke);
+    let tcp_loopback = run_tcp_loopback(quick);
 
     let report = Report {
         schema: 1,
         seed,
-        smoke,
+        smoke: quick,
         gf,
+        parity_update,
         fabric_hop,
         tcp_hop,
         e2e,
@@ -620,22 +632,23 @@ fn main() {
     std::fs::write(&out, json + "\n").expect("write BENCH_ring.json");
     println!("wrote {}", out.display());
 
-    if let Some(path) = arg_value("--check") {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline: serde_json::Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline JSON: {e}"));
-        let mut problems = check_against(&baseline, &report.gf);
-        problems.extend(check_fabric_hop(&report.fabric_hop));
-        problems.extend(check_tail(&report.tail_latency));
-        if problems.is_empty() {
-            println!("check vs {path}: ok");
-        } else {
-            eprintln!("bench check failed:");
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            std::process::exit(1);
-        }
+    let Some(path) = &args.check else {
+        return 0;
+    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
+    let baseline: serde_json::Value =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline JSON: {e}"));
+    let mut problems = check_against(&baseline, &report.gf);
+    problems.extend(check_fabric_hop(&report.fabric_hop));
+    problems.extend(check_tail(&report.tail_latency));
+    if problems.is_empty() {
+        println!("check vs {}: ok", path.display());
+        return 0;
     }
+    eprintln!("bench check failed:");
+    for p in &problems {
+        eprintln!("  {p}");
+    }
+    1
 }

@@ -16,8 +16,10 @@
 //! the RingWriteSemantics abstract model instead — version numbers
 //! included — run `ring-model --conform acceptance --seed <seed>`.
 
-use ring_bench::output::{header, write_json};
 use ring_chaos::{run_soak, SoakConfig, StragglerSpec, Verdict};
+
+use crate::output::write_json;
+use crate::Args;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -51,7 +53,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn main() {
+/// The `chaos_soak` subcommand: exit code 1 on a violation.
+pub fn run(args: &Args) -> i32 {
     let seed = env_u64("RING_CHAOS_SEED", 0x52_49_4E_47);
     let ops = env_u64("RING_CHAOS_OPS", 2500) as usize;
     let clients = env_u64("RING_CHAOS_CLIENTS", 4) as usize;
@@ -65,14 +68,9 @@ fn main() {
         cfg.straggler = Some(StragglerSpec::light());
     }
 
-    header(
-        if straggler {
-            "Chaos soak: REP3 + SRS(3,2) under drop/dup/delay + partition + crash + straggler"
-        } else {
-            "Chaos soak: REP3 + SRS(3,2) under drop/dup/delay + partition + crash"
-        },
-        &["run", "ops", "timeouts", "dropped", "verdict", "wall"],
-    );
+    let faults = if straggler { " + straggler" } else { "" };
+    println!("Chaos soak: REP3 + SRS(3,2) under drop/dup/delay + partition + crash{faults}");
+    println!("run\tops\ttimeouts\tdropped\tverdict\twall");
 
     let mut rows = Vec::new();
     let mut all_ok = true;
@@ -119,12 +117,13 @@ fn main() {
         rows.len(),
         rows[0].schedule_digest
     );
-    write_json("chaos_soak", &rows);
+    write_json(&args.results(), "chaos_soak", &rows);
     if !all_ok {
         println!(
             "RESULT: FAILED (non-linearizable history; replay with RING_CHAOS_SEED={seed:#x})"
         );
-        std::process::exit(1);
+        return 1;
     }
     println!("RESULT: PASSED");
+    0
 }

@@ -1,17 +1,20 @@
 //! Section 5.4 ablation: memory and load balance with 1 memgest group
 //! versus `s + d` rotated groups.
 //!
-//! Prints the analytical per-node storage weights (what Figure 3's
+//! Records the analytical per-node storage weights (what Figure 3's
 //! unfilled rectangles depict) and then measures actual per-node message
 //! load under a mixed workload on real clusters with both settings.
 
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Duration;
 
-use ring_bench::output::{header, write_json};
-use ring_bench::quick_mode;
 use ring_kvs::balance::{role_mix, storage_balance};
 use ring_kvs::{Cluster, ClusterSpec, Scheme};
 use ring_workload::{KeyDistribution, WorkloadGen, WorkloadSpec};
+
+use crate::output::write_json;
+use crate::report::{f, load, rows};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -36,21 +39,20 @@ fn paper_schemes() -> Vec<Scheme> {
     ]
 }
 
-fn main() {
-    let ops = if quick_mode() { 2_000 } else { 20_000 };
+/// Max/min of the per-node bytes (infinite when a node holds nothing).
+fn imbalance(bytes: &[f64]) -> f64 {
+    let max = bytes.iter().copied().fold(0.0, f64::max);
+    let min = bytes.iter().copied().fold(f64::INFINITY, f64::min);
+    if min > 0.0 {
+        max / min
+    } else {
+        f64::INFINITY
+    }
+}
+
+pub fn run(quick: bool, results: &Path) {
+    let ops = if quick { 2_000 } else { 20_000 };
     let mut rows = Vec::new();
-    header(
-        "Section 5.4 ablation: per-node balance, 1 group vs s + d groups",
-        &[
-            "groups",
-            "node",
-            "storage_w",
-            "coord",
-            "redund",
-            "msgs",
-            "bytes",
-        ],
-    );
     for groups in [1usize, 5] {
         let spec = ClusterSpec {
             groups,
@@ -84,7 +86,6 @@ fn main() {
         }
         std::thread::sleep(Duration::from_millis(50));
 
-        let mut measured = Vec::new();
         for (i, &node) in cluster.config().nodes.iter().enumerate() {
             let (coords, redundants) = role_mix(cluster.config(), node);
             let msgs = cluster
@@ -94,11 +95,6 @@ fn main() {
                 .unwrap_or(0);
             let stats = client.node_stats(node).expect("stats");
             let bytes = stats.data_bytes() + stats.redundancy_bytes();
-            measured.push(bytes as f64);
-            println!(
-                "{groups}\t{node}\t{:.3}\t{coords}\t{redundants}\t{msgs}\t{bytes}",
-                analytical.weights[i]
-            );
             rows.push(Row {
                 groups,
                 node,
@@ -109,14 +105,32 @@ fn main() {
                 measured_bytes: bytes,
             });
         }
-        let max = measured.iter().copied().fold(0.0, f64::max);
-        let min = measured.iter().copied().fold(f64::INFINITY, f64::min);
-        println!(
-            "groups={groups}: analytical storage imbalance = {:.2}x, measured = {:.2}x",
-            analytical.imbalance,
-            if min > 0.0 { max / min } else { f64::INFINITY }
-        );
         cluster.shutdown();
     }
-    write_json("balance_ablation", &rows);
+    write_json(results, "balance_ablation", &rows);
+}
+
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## §5.4 ablation: memgest-group balancing\n");
+    let v = load(results, "balance_ablation")?;
+    for groups in [1u64, 5] {
+        let bytes: Vec<f64> = rows(&v)
+            .iter()
+            .filter(|r| r["groups"].as_u64() == Some(groups))
+            .map(|r| f(r, "measured_bytes"))
+            .collect();
+        if bytes.is_empty() {
+            continue;
+        }
+        let _ = writeln!(
+            md,
+            "- {groups} group(s): measured per-node memory imbalance (max/min) = {:.2}x",
+            imbalance(&bytes)
+        );
+    }
+    let _ = writeln!(
+        md,
+        "\nShape check (paper, Figure 3 + §5.4): a single group leaves parity\nnodes overloaded; rotating s + d groups evens memory and load out.\n"
+    );
+    Some(())
 }

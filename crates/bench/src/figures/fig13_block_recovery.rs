@@ -16,11 +16,19 @@
 //! Expected shape: latency grows with block size; SRS21 recovers faster
 //! than SRS31/SRS32 (2 blocks to collect instead of 3).
 
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use ring_bench::output::{header, us, write_json};
-use ring_bench::reps;
 use ring_kvs::{Cluster, ClusterSpec};
+use serde_json::Value;
+
+use crate::measure::summarize;
+use crate::output::write_json;
+use crate::report::{find, load, s};
+use crate::workbench::memgest_id;
+
+const SCHEMES: [&str; 3] = ["SRS21", "SRS31", "SRS32"];
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -31,31 +39,19 @@ struct Row {
     samples: usize,
 }
 
-fn main() {
-    let n = reps(15, 3);
-    let sizes: &[usize] = if ring_bench::quick_mode() {
-        &[512, 4096]
+pub fn run(quick: bool, results: &Path) {
+    let n = if quick { 3 } else { 15 };
+    // 512 B .. 64 KiB, doubling.
+    let sizes: Vec<usize> = if quick {
+        vec![512, 4096]
     } else {
-        &[
-            512,
-            1 << 10,
-            2 << 10,
-            4 << 10,
-            8 << 10,
-            16 << 10,
-            32 << 10,
-            64 << 10,
-        ]
+        (9..=16).map(|p| 1 << p).collect()
     };
-    let schemes = [("SRS21", 4u32), ("SRS31", 5u32), ("SRS32", 6u32)];
 
-    header(
-        "Figure 13: block recovery latency vs recovered block size",
-        &["scheme", "block", "median_us", "p90_us"],
-    );
     let mut rows = Vec::new();
-    for (label, mid) in schemes {
-        for &size in sizes {
+    for label in SCHEMES {
+        let mid = memgest_id(label);
+        for &size in &sizes {
             let mut samples = Vec::with_capacity(n);
             for _ in 0..n {
                 let spec = ClusterSpec {
@@ -98,8 +94,7 @@ fn main() {
                 assert_eq!(recovered, value, "decode must be correct");
                 cluster.shutdown();
             }
-            let s = ring_bench::measure::summarize(samples);
-            println!("{label}\t{}B\t{}\t{}", size, us(s.median_us), us(s.p90_us));
+            let s = summarize(samples);
             rows.push(Row {
                 scheme: label.to_string(),
                 block: size,
@@ -109,5 +104,23 @@ fn main() {
             });
         }
     }
-    write_json("fig13_block_recovery", &rows);
+    write_json(results, "fig13_block_recovery", &rows);
+}
+
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## Figure 13: online block recovery vs block size\n");
+    let v = load(results, "fig13_block_recovery")?;
+    let _ = writeln!(md, "| scheme | 512 B (µs) | 64 KiB (µs) |\n|---|---|---|");
+    for scheme in SCHEMES {
+        let at = |block: u64| {
+            let pick = |r: &Value| s(r, "scheme") == scheme && r["block"].as_u64() == Some(block);
+            find(&v, pick, "median_us")
+        };
+        let _ = writeln!(md, "| {scheme} | {:.0} | {:.0} |", at(512), at(65536));
+    }
+    let _ = writeln!(
+        md,
+        "\nShape check (paper): recovery time grows with block size; SRS21\ncollects 2 blocks instead of 3 and recovers fastest; SRS32 ≈ SRS31.\n"
+    );
+    Some(())
 }

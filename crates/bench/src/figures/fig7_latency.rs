@@ -7,10 +7,14 @@
 //! highest (two parity updates plus coding work); get latency identical
 //! across memgests.
 
-use ring_bench::measure::{get_latency, put_latency, LatencySummary};
-use ring_bench::output::{header, us, write_json};
-use ring_bench::workbench::{paper_cluster, MEMGESTS};
-use ring_bench::{object_sizes, reps};
+use std::fmt::Write as _;
+use std::path::Path;
+
+use crate::measure::{get_latency, put_latency, LatencySummary};
+use crate::object_sizes;
+use crate::output::write_json;
+use crate::report::{find, load, med_at};
+use crate::workbench::{paper_cluster, MEMGESTS};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -25,23 +29,18 @@ struct GetRow {
     get: LatencySummary,
 }
 
-fn main() {
-    let n = reps(1000, 50);
+pub fn run(quick: bool, results: &Path) {
+    let n = if quick { 50 } else { 1000 };
     let cluster = paper_cluster();
     let mut client = cluster.client();
     let mut rows = Vec::new();
     let mut get_rows = Vec::new();
     let mut key_base = 0u64;
 
-    header(
-        "Figure 7a/7b: put latency (us, median/p90) vs object size",
-        &["scheme", "size", "median", "p90"],
-    );
     for (mid, label) in MEMGESTS {
         for size in object_sizes() {
             let s = put_latency(&mut client, mid, size, n, key_base);
             key_base += n as u64;
-            println!("{label}\t{size}\t{}\t{}", us(s.median_us), us(s.p90_us));
             rows.push(Row {
                 scheme: label.to_string(),
                 size,
@@ -50,10 +49,6 @@ fn main() {
         }
     }
 
-    header(
-        "Figure 7b: get latency (identical across memgests)",
-        &["size", "median", "p90"],
-    );
     for size in object_sizes() {
         // Get latency is scheme-independent (Section 6.1); sample it
         // over keys spread across all memgests.
@@ -66,11 +61,42 @@ fn main() {
         }
         key_base += keys.len() as u64;
         let s = get_latency(&mut client, &keys, n);
-        println!("{size}\t{}\t{}", us(s.median_us), us(s.p90_us));
         get_rows.push(GetRow { size, get: s });
     }
 
-    write_json("fig7_put_latency", &rows);
-    write_json("fig7_get_latency", &get_rows);
+    write_json(results, "fig7_put_latency", &rows);
+    write_json(results, "fig7_get_latency", &get_rows);
     cluster.shutdown();
+}
+
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## Figure 7a/7b: put and get latency vs object size\n");
+    let put = load(results, "fig7_put_latency")?;
+    let _ = writeln!(md, "Median put latency at 1 KiB (µs):\n");
+    let _ = writeln!(md, "| scheme | measured | paper |\n|---|---|---|");
+    let paper = [
+        ("REP1", "~7"),
+        ("REP2", "~11"),
+        ("REP3", "~11"),
+        ("REP4", "~13"),
+        ("SRS21", "~14"),
+        ("SRS31", "~14"),
+        ("SRS32", "~22"),
+    ];
+    for (scheme, p) in paper {
+        let m = med_at(&put, "scheme", scheme, 1024, "put");
+        let _ = writeln!(md, "| {scheme} | {m:.1} | {p} |");
+    }
+    if let Some(get) = load(results, "fig7_get_latency") {
+        let g = find(&get, |r| r["size"].as_u64() == Some(1024), "get.median_us");
+        let _ = writeln!(
+            md,
+            "\nGet latency at 1 KiB: {g:.1} µs, identical across memgests (paper: ~5 µs, one shared line).\n"
+        );
+    }
+    let _ = writeln!(
+        md,
+        "Shape check: REP1 lowest; REP2 ≈ REP3 (quorum needs one ack for both);\nSRS21 ≈ SRS31 (one parity each); SRS32 highest among SRS.\n"
+    );
+    Some(())
 }

@@ -8,11 +8,16 @@
 //! backups) with gets as fast as Ring's; Cocytus get/put far above
 //! Ring's SRS32.
 
-use ring_bench::measure::{get_latency, put_latency, LatencySummary};
-use ring_bench::output::{header, us, write_json};
-use ring_bench::{object_sizes, reps};
+use std::fmt::Write as _;
+use std::path::Path;
+
 use ring_kvs::baseline::all_baselines;
 use ring_kvs::Cluster;
+
+use crate::measure::{get_latency, put_latency, LatencySummary};
+use crate::object_sizes;
+use crate::output::write_json;
+use crate::report::{load, med_at};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -22,13 +27,9 @@ struct Row {
     get: LatencySummary,
 }
 
-fn main() {
-    let n = reps(500, 30);
+pub fn run(quick: bool, results: &Path) {
+    let n = if quick { 30 } else { 500 };
     let mut rows = Vec::new();
-    header(
-        "Figure 7c: baseline put/get latency (us, median)",
-        &["system", "size", "put_med", "put_p90", "get_med", "get_p90"],
-    );
     for b in all_baselines() {
         let cluster = Cluster::start(b.spec.clone());
         let mut client = cluster.client();
@@ -38,14 +39,6 @@ fn main() {
             let keys: Vec<u64> = (key_base..key_base + n as u64).collect();
             let get = get_latency(&mut client, &keys, n);
             key_base += n as u64;
-            println!(
-                "{}\t{size}\t{}\t{}\t{}\t{}",
-                b.name,
-                us(put.median_us),
-                us(put.p90_us),
-                us(get.median_us),
-                us(get.p90_us)
-            );
             rows.push(Row {
                 system: b.name.to_string(),
                 size,
@@ -55,5 +48,28 @@ fn main() {
         }
         cluster.shutdown();
     }
-    write_json("fig7c_baselines", &rows);
+    write_json(results, "fig7c_baselines", &rows);
+}
+
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## Figure 7c: baseline latencies\n");
+    let v = load(results, "fig7c_baselines")?;
+    let _ = writeln!(md, "Median at 1 KiB (µs):\n");
+    let _ = writeln!(
+        md,
+        "| system | put | get | paper shape |\n|---|---|---|---|"
+    );
+    let paper = [
+        ("memcached", "~10x Ring REP1 (kernel TCP)"),
+        ("Dare", "≈ Ring REP3 (same transport + scheme)"),
+        ("RAMCloud", "put ≫ Dare (disk-backed backups), get fast"),
+        ("Cocytus", "get ~100x / put ~30x Ring SRS32"),
+    ];
+    for (system, shape) in paper {
+        let p = med_at(&v, "system", system, 1024, "put");
+        let g = med_at(&v, "system", system, 1024, "get");
+        let _ = writeln!(md, "| {system} | {p:.1} | {g:.1} | {shape} |");
+    }
+    let _ = writeln!(md);
+    Some(())
 }

@@ -6,10 +6,14 @@
 //! copied from main memory) and cheaper than a direct put of the same
 //! object.
 
-use ring_bench::measure::{move_latency, LatencySummary};
-use ring_bench::output::{header, us, write_json};
-use ring_bench::workbench::{memgest_id, paper_cluster, MEMGESTS};
-use ring_bench::{object_sizes, reps};
+use std::fmt::Write as _;
+use std::path::Path;
+
+use crate::measure::{move_latency, LatencySummary};
+use crate::object_sizes;
+use crate::output::write_json;
+use crate::report::{load, med_at};
+use crate::workbench::{memgest_id, paper_cluster, MEMGESTS};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -18,17 +22,13 @@ struct Row {
     mv: LatencySummary,
 }
 
-fn main() {
-    let n = reps(500, 30);
+pub fn run(quick: bool, results: &Path) {
+    let n = if quick { 30 } else { 500 };
     let cluster = paper_cluster();
     let mut client = cluster.client();
     let mut rows = Vec::new();
     let mut key_base = 0u64;
 
-    header(
-        "Figure 8: move latency (us, median/p90) vs object size, by destination",
-        &["dst", "size", "median", "p90"],
-    );
     for (dst, label) in MEMGESTS {
         // Source is the unreliable memgest unless it IS the destination,
         // in which case REP3 is the source (the source scheme does not
@@ -41,7 +41,6 @@ fn main() {
         for size in object_sizes() {
             let s = move_latency(&mut client, src, dst, size, n, key_base);
             key_base += n as u64;
-            println!("{label}\t{size}\t{}\t{}", us(s.median_us), us(s.p90_us));
             rows.push(Row {
                 dst: label.to_string(),
                 size,
@@ -49,6 +48,25 @@ fn main() {
             });
         }
     }
-    write_json("fig8_move", &rows);
+    write_json(results, "fig8_move", &rows);
     cluster.shutdown();
+}
+
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## Figure 8: move latency vs object size\n");
+    let v = load(results, "fig8_move")?;
+    let _ = writeln!(
+        md,
+        "| destination | move @2 B (µs) | move @2 KiB (µs) |\n|---|---|---|"
+    );
+    for (_, dst) in MEMGESTS {
+        let small = med_at(&v, "dst", dst, 2, "mv");
+        let big = med_at(&v, "dst", dst, 2048, "mv");
+        let _ = writeln!(md, "| {dst} | {small:.1} | {big:.1} |");
+    }
+    let _ = writeln!(
+        md,
+        "\nShape check: moving to REP1 is roughly size-independent (no client\ntransfer, copy from main memory); erasure-coded destinations cost the\nmost, like a put to the same scheme minus the client hop.\n"
+    );
+    Some(())
 }

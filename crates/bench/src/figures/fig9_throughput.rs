@@ -7,14 +7,17 @@
 //! comparable Ring memgests. Absolute rates are scaled to the
 //! simulated fabric — relative factors are what reproduces the figure.
 
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Duration;
 
-use ring_bench::measure::{ramp_throughput, ThroughputSample};
-use ring_bench::output::{header, kreq, write_json};
-use ring_bench::workbench::{memgest_id, paper_cluster};
-use ring_bench::{quick_mode, reps};
 use ring_kvs::baseline::all_baselines;
 use ring_kvs::Cluster;
+
+use crate::measure::{ramp_throughput, ThroughputSample};
+use crate::output::write_json;
+use crate::report::{f, load, rows, s};
+use crate::workbench::{memgest_id, paper_cluster};
 
 #[derive(serde::Serialize)]
 struct Series {
@@ -22,20 +25,11 @@ struct Series {
     samples: Vec<ThroughputSample>,
 }
 
-fn main() {
-    let max_clients = reps(4, 2);
-    let interval = if quick_mode() {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(1)
-    };
+pub fn run(quick: bool, results: &Path) {
+    let max_clients = if quick { 2 } else { 4 };
+    let interval = Duration::from_millis(if quick { 300 } else { 1000 });
     let offered = 400_000.0; // The paper's offered rate per client.
     let mut series = Vec::new();
-
-    header(
-        "Figure 9: put throughput (1 KiB values), client per interval",
-        &["system", "second", "clients", "req/s"],
-    );
 
     for label in ["REP1", "REP3", "SRS32"] {
         let cluster = paper_cluster();
@@ -47,14 +41,6 @@ fn main() {
             max_clients,
             interval,
         );
-        for s in &samples {
-            println!(
-                "{label}\t{:.1}\t{}\t{}",
-                s.second,
-                s.clients,
-                kreq(s.completed_per_sec)
-            );
-        }
         series.push(Series {
             system: label.to_string(),
             samples,
@@ -65,15 +51,6 @@ fn main() {
     for b in all_baselines() {
         let cluster = Cluster::start(b.spec.clone());
         let samples = ramp_throughput(&cluster, b.memgest, 1024, offered, max_clients, interval);
-        for s in &samples {
-            println!(
-                "{}\t{:.1}\t{}\t{}",
-                b.name,
-                s.second,
-                s.clients,
-                kreq(s.completed_per_sec)
-            );
-        }
         series.push(Series {
             system: b.name.to_string(),
             samples,
@@ -81,24 +58,41 @@ fn main() {
         cluster.shutdown();
     }
 
-    // The paper's headline ratios.
-    let peak = |name: &str| -> f64 {
-        series
-            .iter()
-            .find(|s| s.system == name)
-            .and_then(|s| {
-                s.samples
-                    .iter()
-                    .map(|x| x.completed_per_sec)
-                    .reduce(f64::max)
-            })
-            .unwrap_or(0.0)
-    };
-    println!(
-        "\nREP1/REP3 = {:.1}x (paper: 2x), REP1/SRS32 = {:.1}x (paper: 4.3x)",
-        peak("REP1") / peak("REP3").max(1.0),
-        peak("REP1") / peak("SRS32").max(1.0)
-    );
+    write_json(results, "fig9_throughput", &series);
+}
 
-    write_json("fig9_throughput", &series);
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## Figure 9: put throughput as clients join (1 KiB)\n");
+    let v = load(results, "fig9_throughput")?;
+    let peak = |name: &str| -> f64 {
+        rows(&v)
+            .iter()
+            .filter(|r| s(r, "system") == name)
+            .flat_map(|r| {
+                rows(&r["samples"])
+                    .iter()
+                    .map(|x| f(x, "completed_per_sec"))
+            })
+            .fold(0.0, f64::max)
+    };
+    let _ = writeln!(md, "| system | peak req/s | paper |\n|---|---|---|");
+    for (name, paper) in [
+        ("REP1", "~1.5M (4 clients)"),
+        ("REP3", "REP1 / 2"),
+        ("SRS32", "REP1 / 4.3"),
+        ("memcached", "below comparable REP1"),
+        ("Dare", "below comparable REP3"),
+        ("Cocytus", "below comparable SRS32"),
+        ("RAMCloud", "—"),
+    ] {
+        let _ = writeln!(md, "| {name} | {:.0} | {paper} |", peak(name));
+    }
+    let rep1 = peak("REP1");
+    let _ = writeln!(
+        md,
+        "\nMeasured ratios: REP1/REP3 = {:.1}x (paper 2x), REP1/SRS32 = {:.1}x (paper 4.3x).\n",
+        rep1 / peak("REP3").max(1.0),
+        rep1 / peak("SRS32").max(1.0)
+    );
+    Some(())
 }

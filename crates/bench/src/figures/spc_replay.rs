@@ -9,12 +9,15 @@
 //! accounts for them).
 
 use std::collections::HashSet;
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
-use ring_bench::output::{header, kreq, write_json};
-use ring_bench::quick_mode;
 use ring_kvs::{Cluster, ClusterSpec, MemgestDescriptor};
-use ring_workload::spc::{synthesize, trace_by_name};
+use ring_workload::spc::{synthesize, trace_by_name, SpcRecord};
+
+use crate::output::write_json;
+use crate::report::{f, load, rows, s};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -28,18 +31,22 @@ struct Row {
 
 const BLOCK: u64 = 4096 / 512; // Trace LBAs are 512-byte sectors.
 
-fn main() {
-    let n_records = if quick_mode() { 2_000 } else { 20_000 };
+/// The KV keys of the 4 KiB blocks `r` touches.
+fn block_keys(r: &SpcRecord) -> impl Iterator<Item = u64> {
+    let first = r.lba / BLOCK;
+    let last = (r.lba + (r.size as u64 / 512).max(1) - 1) / BLOCK;
+    let asu = (r.asu as u64) << 48;
+    (first..=last).map(move |block| asu | block)
+}
+
+pub fn run(quick: bool, results: &Path) {
+    let n_records = if quick { 2_000 } else { 20_000 };
     let schemes: [(&str, MemgestDescriptor); 3] = [
         ("hot/Rep(3)", MemgestDescriptor::rep(3)),
         ("cold/SRS(3,2)", MemgestDescriptor::srs(3, 2)),
         ("simple/Rep(1)", MemgestDescriptor::rep(1)),
     ];
     let mut rows = Vec::new();
-    header(
-        "SPC trace replay against live clusters",
-        &["trace", "scheme", "ops", "req/s", "put_us", "get_us"],
-    );
     for trace_name in ["Financial1", "WebSearch2"] {
         let profile = trace_by_name(trace_name).expect("known trace");
         let records = synthesize(profile, n_records, 11);
@@ -57,10 +64,7 @@ fn main() {
                 if !r.is_read {
                     continue;
                 }
-                let first = r.lba / BLOCK;
-                let last = (r.lba + (r.size as u64 / 512).max(1) - 1) / BLOCK;
-                for block in first..=last {
-                    let key = (r.asu as u64) << 48 | block;
+                for key in block_keys(r) {
                     if written.insert(key) {
                         client.put_to(key, &[0x11u8; 4096], 0).expect("preload");
                     }
@@ -72,10 +76,7 @@ fn main() {
             let mut gets = 0usize;
             let t0 = Instant::now();
             for r in &records {
-                let first = r.lba / BLOCK;
-                let last = (r.lba + (r.size as u64 / 512).max(1) - 1) / BLOCK;
-                for block in first..=last {
-                    let key = (r.asu as u64) << 48 | block;
+                for key in block_keys(r) {
                     if r.is_read {
                         if written.contains(&key) {
                             let s = Instant::now();
@@ -94,41 +95,42 @@ fn main() {
             }
             let total = puts + gets;
             let rate = total as f64 / t0.elapsed().as_secs_f64();
-            println!(
-                "{trace_name}\t{label}\t{total}\t{}\t{:.1}\t{:.1}",
-                kreq(rate),
-                if puts > 0 {
-                    put_time / puts as f64 * 1e6
-                } else {
-                    0.0
-                },
-                if gets > 0 {
-                    get_time / gets as f64 * 1e6
-                } else {
-                    0.0
-                },
-            );
+            let mean_us = |time: f64, n: usize| if n > 0 { time / n as f64 * 1e6 } else { 0.0 };
             rows.push(Row {
                 trace: trace_name.to_string(),
                 scheme: label.to_string(),
                 ops_replayed: total,
                 req_per_sec: rate,
-                mean_put_us: if puts > 0 {
-                    put_time / puts as f64 * 1e6
-                } else {
-                    0.0
-                },
-                mean_get_us: if gets > 0 {
-                    get_time / gets as f64 * 1e6
-                } else {
-                    0.0
-                },
+                mean_put_us: mean_us(put_time, puts),
+                mean_get_us: mean_us(get_time, gets),
             });
             cluster.shutdown();
         }
     }
-    write_json("spc_replay", &rows);
-    println!(
-        "\nShape: the put-heavy Financial1 trace pays the redundancy cost\n(simple > hot > cold in throughput); the get-dominant WebSearch trace\nis scheme-insensitive — the performance face of Figure 10's prices."
+    write_json(results, "spc_replay", &rows);
+}
+
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## SPC trace replay (performance face of Fig. 10)\n");
+    let v = load(results, "spc_replay")?;
+    let _ = writeln!(
+        md,
+        "| trace | scheme | req/s | put µs | get µs |\n|---|---|---|---|---|"
     );
+    for r in rows(&v) {
+        let _ = writeln!(
+            md,
+            "| {} | {} | {:.0} | {:.1} | {:.1} |",
+            s(r, "trace"),
+            s(r, "scheme"),
+            f(r, "req_per_sec"),
+            f(r, "mean_put_us"),
+            f(r, "mean_get_us")
+        );
+    }
+    let _ = writeln!(
+        md,
+        "\nShape check: the put-heavy Financial trace pays redundancy in\nthroughput (simple fastest, hot slowest); the get-dominant WebSearch\ntrace is scheme-insensitive.\n"
+    );
+    Some(())
 }

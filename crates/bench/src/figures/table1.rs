@@ -6,14 +6,17 @@
 //! 3x storage}; RS(3,2) = {2 failures, 3.4x latency, 0.31x throughput,
 //! 1.66x storage}.
 
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Duration;
 
-use ring_bench::measure::{mixed_throughput, put_latency};
-use ring_bench::output::{header, write_json};
-use ring_bench::workbench::{memgest_id, paper_cluster};
-use ring_bench::{quick_mode, reps};
 use ring_reliability::{rs_chain, srs_chain, ModelParams};
 use ring_workload::{KeyDistribution, WorkloadGen, WorkloadSpec};
+
+use crate::measure::{mixed_throughput, put_latency};
+use crate::output::write_json;
+use crate::report::{f, load, rows, s};
+use crate::workbench::{memgest_id, paper_cluster};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -25,8 +28,8 @@ struct Row {
     storage_cost_rel: f64,
 }
 
-fn main() {
-    let n = reps(1000, 50);
+pub fn run(quick: bool, results: &Path) {
+    let n = if quick { 50 } else { 1000 };
     let params = ModelParams::default();
 
     // Reliability: Rep(r) is the k=1 chain; failures tolerated from the
@@ -46,11 +49,7 @@ fn main() {
     let l_rs32 = lat("SRS32", &mut client, 2_000_000);
 
     // Throughput (put-only, closed loop).
-    let dur = if quick_mode() {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(2)
-    };
+    let dur = Duration::from_millis(if quick { 300 } else { 2000 });
     let thr = |label: &str| {
         let spec = WorkloadSpec {
             key_count: 5_000,
@@ -91,24 +90,40 @@ fn main() {
             storage_cost_rel: 1.0 + 2.0 / 3.0,
         },
     ];
+    write_json(results, "table1", &rows);
+    cluster.shutdown();
+}
 
-    header(
-        "Table 1 (Section 1): scheme trade-offs, normalised to Simple",
-        &["scheme", "reliability", "put_lat", "put_thru", "storage"],
+pub fn report(md: &mut String, results: &Path) -> Option<()> {
+    let _ = writeln!(md, "## Table 1 (§1): storage-scheme trade-offs\n");
+    let v = load(results, "table1")?;
+    let _ = writeln!(
+        md,
+        "| scheme | paper (lat / thru / storage) | measured (lat / thru / storage) |\n|---|---|---|"
     );
-    for r in &rows {
-        let reliability = if r.failures_tolerated == 0 {
-            "None".to_string()
-        } else {
-            format!("{} failures", r.failures_tolerated)
-        };
-        println!(
-            "{}\t{}\t{:.2}x\t{:.2}x\t{:.2}x",
-            r.scheme, reliability, r.put_latency_rel, r.put_throughput_rel, r.storage_cost_rel
+    let paper = [
+        ("Simple", "1x / 1x / 1x"),
+        ("Rep(3)", "2x / 0.5x / 3x"),
+        ("RS(3,2)", "3.4x / 0.31x / 1.66x"),
+    ];
+    for r in rows(&v) {
+        let name = s(r, "scheme");
+        let p = paper
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, p)| *p)
+            .unwrap_or("-");
+        let _ = writeln!(
+            md,
+            "| {name} | {p} | {:.2}x / {:.2}x / {:.2}x |",
+            f(r, "put_latency_rel"),
+            f(r, "put_throughput_rel"),
+            f(r, "storage_cost_rel")
         );
     }
-    println!("\npaper: Rep(3) = 2x / 0.5x / 3x; RS(3,2) = 3.4x / 0.31x / 1.66x");
-
-    write_json("table1", &rows);
-    cluster.shutdown();
+    let _ = writeln!(
+        md,
+        "\nShape check: both reliable schemes cost more latency and less\nthroughput than Simple; storage overheads are exact (3x vs 1.66x).\n"
+    );
+    Some(())
 }

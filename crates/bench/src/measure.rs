@@ -40,6 +40,17 @@ pub fn summarize(mut samples: Vec<Duration>) -> LatencySummary {
     }
 }
 
+/// Times `op(i)` for `i` in `0..reps` and summarises the samples.
+fn time_each(reps: usize, mut op: impl FnMut(usize)) -> LatencySummary {
+    let mut samples = Vec::with_capacity(reps);
+    for i in 0..reps {
+        let t0 = Instant::now();
+        op(i);
+        samples.push(t0.elapsed());
+    }
+    summarize(samples)
+}
+
 /// Measures put latency into `memgest` for objects of `size` bytes.
 /// Each repetition writes a distinct key (fresh heap range, as in an
 /// insert-heavy workload).
@@ -51,16 +62,12 @@ pub fn put_latency<T: Transport<Msg>>(
     key_base: u64,
 ) -> LatencySummary {
     let value = vec![0xABu8; size];
-    let mut samples = Vec::with_capacity(reps);
-    for i in 0..reps {
+    time_each(reps, |i| {
         let key = key_base + i as u64;
-        let t0 = Instant::now();
         client
             .put_to(key, &value, memgest)
             .expect("put during benchmark");
-        samples.push(t0.elapsed());
-    }
-    summarize(samples)
+    })
 }
 
 /// Measures get latency for pre-loaded keys.
@@ -69,14 +76,11 @@ pub fn get_latency<T: Transport<Msg>>(
     keys: &[u64],
     reps: usize,
 ) -> LatencySummary {
-    let mut samples = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let key = keys[i % keys.len()];
-        let t0 = Instant::now();
-        client.get(key).expect("get during benchmark");
-        samples.push(t0.elapsed());
-    }
-    summarize(samples)
+    time_each(reps, |i| {
+        client
+            .get(keys[i % keys.len()])
+            .expect("get during benchmark");
+    })
 }
 
 /// Measures move latency from `src` to `dst` for objects of `size`
@@ -95,14 +99,10 @@ pub fn move_latency<T: Transport<Msg>>(
             .put_to(key_base + i as u64, &value, src)
             .expect("preload");
     }
-    let mut samples = Vec::with_capacity(reps);
-    for i in 0..reps {
+    time_each(reps, |i| {
         let key = key_base + i as u64;
-        let t0 = Instant::now();
         client.move_key(key, dst).expect("move during benchmark");
-        samples.push(t0.elapsed());
-    }
-    summarize(samples)
+    })
 }
 
 /// One second of an open-loop throughput trace.

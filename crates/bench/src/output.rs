@@ -1,22 +1,28 @@
 //! Table printing and JSON result persistence.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Directory where experiment results are written (`<repo>/results`).
-pub fn results_dir() -> PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+/// The repository root (two levels above this crate's manifest).
+pub fn repo_root() -> PathBuf {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()
         .and_then(|p| p.parent())
-        .map(|p| p.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+        .map(Path::to_path_buf)
+        .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Writes a serializable result set to `results/<name>.json`.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
+/// Directory where experiment results are written by default
+/// (`<repo>/results`).
+pub fn results_dir() -> PathBuf {
+    repo_root().join("results")
+}
+
+/// Writes a serializable result set to `<dir>/<name>.json` and says
+/// so on stdout.
+pub fn write_json<T: serde::Serialize>(dir: &Path, name: &str, value: &T) {
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let path = dir.join(format!("{name}.json"));
@@ -24,25 +30,17 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
         if let Ok(mut f) = std::fs::File::create(&path) {
             let _ = f.write_all(json.as_bytes());
             let _ = f.write_all(b"\n");
+            println!("wrote {}", path.display());
         }
     }
 }
 
-/// Prints a header line followed by a separator.
-pub fn header(title: &str, columns: &[&str]) {
-    println!("\n=== {title} ===");
-    println!("{}", columns.join("\t"));
-    println!("{}", "-".repeat(columns.len() * 12));
-}
-
-/// Formats microseconds with two decimals.
-pub fn us(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Formats a requests/second figure in thousands.
-pub fn kreq(v: f64) -> String {
-    format!("{:.0}K", v / 1000.0)
+/// A fresh, empty directory under the system temp dir (tests).
+pub fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ring-bench-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 #[cfg(test)]
@@ -53,20 +51,15 @@ mod tests {
     fn results_dir_points_at_repo_root() {
         let d = results_dir();
         assert!(d.ends_with("results"));
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(us(12.345), "12.35");
-        assert_eq!(kreq(1_500_000.0), "1500K");
+        assert_eq!(d.parent(), Some(repo_root().as_path()));
     }
 
     #[test]
     fn write_json_round_trips() {
-        write_json("unit_test_row", &vec![1, 2, 3]);
-        let path = results_dir().join("unit_test_row.json");
-        let text = std::fs::read_to_string(&path).unwrap();
+        let dir = scratch_dir("write-json");
+        write_json(&dir, "unit_test_row", &vec![1, 2, 3]);
+        let text = std::fs::read_to_string(dir.join("unit_test_row.json")).unwrap();
         assert_eq!(text.trim(), "[\n  1,\n  2,\n  3\n]");
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -33,16 +33,6 @@ pub fn paper_cluster() -> Cluster {
     Cluster::start(ClusterSpec::paper_evaluation())
 }
 
-/// Starts the paper cluster with `spares` spare nodes (failure
-/// experiments).
-pub fn paper_cluster_with_spares(spares: usize) -> Cluster {
-    Cluster::start(ClusterSpec {
-        spares,
-        fail_timeout: std::time::Duration::from_millis(30),
-        ..ClusterSpec::paper_evaluation()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@
 //! ring-model --conform <preset> [--seed N] [--budget N]
 //!     Run the named soak preset (sequential, sequential_straggler,
 //!     quick, quick_straggler, or acceptance — the 10k-op schedule the
-//!     chaos_soak binary runs), project its recorded history onto the
+//!     `ring-bench chaos_soak` runs), project its recorded history onto the
 //!     abstract model, and check conformance. Exits non-zero on a
 //!     non-conformant history.
 //! ```

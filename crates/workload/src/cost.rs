@@ -143,7 +143,7 @@ pub fn normalized_prices(stats: &TraceStats) -> Vec<(SchemeClass, CostBreakdown,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spc::{trace_by_name, TraceStats};
+    use crate::spc::{synthesize, trace_by_name, TraceStats, TRACES};
 
     fn stats(name: &str) -> TraceStats {
         TraceStats::from_profile(trace_by_name(name).unwrap())
@@ -219,5 +219,38 @@ mod tests {
     fn empty_stats_price_zero() {
         let b = price(&TraceStats::default(), SchemeClass::Hot);
         assert_eq!(b.total(), 0.0);
+    }
+
+    /// Records synthesized from a profile, scaled up to the full trace,
+    /// price within a few percent of the profile's exact statistics.
+    #[test]
+    fn synthetic_traces_price_like_their_profiles() {
+        let rel_hot = |s: &TraceStats| {
+            let rows = normalized_prices(s);
+            rows.iter().find(|r| r.0 == SchemeClass::Hot).unwrap().2
+        };
+        for profile in &TRACES {
+            let sample_n = 200_000usize;
+            let mut sampled = TraceStats {
+                footprint_gib: profile.footprint_gib,
+                ..TraceStats::default()
+            };
+            for r in &synthesize(profile, sample_n, 42) {
+                sampled.add(r);
+            }
+            let scale = profile.requests as f64 / sample_n as f64;
+            for n in [
+                &mut sampled.reads,
+                &mut sampled.writes,
+                &mut sampled.read_bytes,
+                &mut sampled.write_bytes,
+            ] {
+                *n = (*n as f64 * scale) as u64;
+            }
+            sampled.duration_hours = profile.duration_hours;
+            let exact = rel_hot(&TraceStats::from_profile(profile));
+            let err = (rel_hot(&sampled) - exact).abs() / exact;
+            assert!(err < 0.03, "{}: {err:.4}", profile.name);
+        }
     }
 }
