@@ -38,8 +38,7 @@ use ring_erasure::Rs;
 use ring_gf::{region, Gf256};
 use ring_kvs::{Cluster, ClusterSpec};
 use ring_net::{
-    Codec, Fabric, FrameBuf, LatencyModel, NetError, NodeId, TcpOptions, TcpTransport, Transport,
-    WireSize,
+    Codec, Fabric, FrameBuf, LatencyModel, NetError, NodeId, TcpTransport, Transport, WireSize,
 };
 use ring_server::harness::{find_binary, LoopbackCluster, LoopbackSpec};
 use serde::Serialize;
@@ -298,8 +297,7 @@ fn run_tcp_hop(quick: bool) -> TcpHop {
         .collect();
     let bind = |id: NodeId| {
         let codec = Arc::new(PingCodec);
-        TcpTransport::bind(id, peers[&id], peers.clone(), codec, TcpOptions::default())
-            .expect("bind loopback")
+        TcpTransport::bind(id, peers[&id], peers.clone(), codec).expect("bind loopback")
     };
     let (a, b) = (bind(0), bind(1));
     TcpHop {

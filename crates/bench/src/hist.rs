@@ -4,7 +4,7 @@
 //! every sample kept around.
 //!
 //! The layout is the classic high-dynamic-range one: time is split into
-//! power-of-two segments, each segment into [`SUB_BUCKETS`] linear
+//! power-of-two segments, each segment into `SUB_BUCKETS` linear
 //! sub-buckets, so any recorded value lands in a bucket whose width is
 //! at most `1/SUB_BUCKETS` of its magnitude (≤ ~3% relative error with
 //! 32 sub-buckets). Recording is O(1) and the whole histogram is a few

@@ -1,5 +1,5 @@
 //! Per-key linearizability checking over recorded histories: the
-//! [`search`](crate::search) core judging every key against a plain
+//! [`search`](mod@crate::search) core judging every key against a plain
 //! register.
 //!
 //! The sequential register model, over the abstract ops of

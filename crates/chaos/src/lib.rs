@@ -14,7 +14,7 @@
 //! - [`history`]: a [`RecordedClient`] wrapper around
 //!   `ring_kvs::RingClient` that logs every invocation/response pair
 //!   with wall-clock windows, unique value tags and returned versions.
-//! - [`search`]: the history oracle — one per-key Wing & Gong search
+//! - [`search`](mod@search): the history oracle — one per-key Wing & Gong search
 //!   (sound by P-compositionality: a KV history is linearizable iff
 //!   each per-key subhistory is) over the abstract ops of
 //!   [`abstract_events`], with the real-time rule, per-key budgets,

@@ -5,7 +5,7 @@
 //! consistency judgements are *P-compositional* (Herlihy & Wing): a
 //! history passes iff every per-key subhistory does. [`search`]
 //! therefore projects the history per key
-//! ([`abstract_ops`](crate::abstract_events::abstract_ops) — the
+//! ([`abstract_ops`] — the
 //! oracle's only view of an event) and looks, key by key, for an order
 //! of the key's operations that
 //!

@@ -357,7 +357,7 @@ impl<T: Transport<Msg>> Node<T> {
             let off = seg.data_addr - addr;
             // Start from the parity bytes (zeros when the parity heap
             // never grew that far — consistent with all-zero data).
-            let mut acc = read_or_zeros(region, seg.parity_addr, seg.len);
+            let mut acc = region.read_padded(seg.parity_addr, seg.len);
             // XOR out the surviving peers' contributions.
             for j in 0..params.k {
                 if j == seg.source {
@@ -386,26 +386,13 @@ impl<T: Transport<Msg>> Node<T> {
     }
 }
 
-/// Reads a range from a region, padding with zeros past its end (the
-/// region only grows lazily as parity updates arrive).
-pub(crate) fn read_or_zeros(region: &ring_net::MemoryRegion, addr: usize, len: usize) -> Vec<u8> {
-    let available = region.len().saturating_sub(addr).min(len);
-    let mut out = vec![0u8; len];
-    if available > 0 {
-        if let Ok(bytes) = region.read(addr, available) {
-            out[..available].copy_from_slice(&bytes);
-        }
-    }
-    out
-}
-
 /// Concatenates `(addr, len)` ranges of a region, zero-padded past its
 /// end (unwritten heap space is all-zero by the coding convention).
 fn concat_ranges(region: &ring_net::MemoryRegion, ranges: &[(usize, usize)]) -> Vec<u8> {
     let total: usize = ranges.iter().map(|&(_, len)| len).sum();
     let mut out = Vec::with_capacity(total);
     for &(addr, len) in ranges {
-        out.extend_from_slice(&read_or_zeros(region, addr, len));
+        out.extend_from_slice(&region.read_padded(addr, len));
     }
     out
 }

@@ -10,7 +10,7 @@
 //!   live node executes — so the model and the implementation cannot
 //!   silently diverge (ring-lint's `model-drift` rule checks the
 //!   `// tla:` markers against the spec text).
-//! - [`explore`]: a hand-rolled breadth-first explicit-state checker.
+//! - [`explore`](mod@explore): a hand-rolled breadth-first explicit-state checker.
 //!   Exhaustively explores small configurations (REP2, REP3, SRS(2,1);
 //!   two clients, two keys, crash + spare promotion) against the
 //!   invariants `AtMostOnce`, `NoTornCommit` and

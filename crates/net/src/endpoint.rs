@@ -11,10 +11,10 @@ use std::time::Duration;
 use crate::fabric::{FabricInner, NodeSlot};
 use crate::fault::FaultAction;
 use crate::latency::spin_wait;
-use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, WireSize};
+use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, Transport, WireSize};
 
-/// A registered node's endpoint: two-sided messaging, one-sided verbs,
-/// and memory-region registration.
+/// A registered node's endpoint: two-sided messaging, and through its
+/// [`Transport`] impl memory-region registration and one-sided reads.
 pub struct Endpoint<M> {
     id: NodeId,
     slot: Arc<NodeSlot<M>>,
@@ -94,23 +94,16 @@ impl<M: Send + WireSize> Endpoint<M> {
         self.slot.mailbox.len()
     }
 
-    /// Registers a memory region under `key`, making it remotely
-    /// accessible. Re-registering a key replaces the region.
-    pub fn register_region(&self, key: MrKey, region: MemoryRegion) {
-        self.slot.regions.write().insert(key, region);
-    }
-
-    /// Removes a region registration.
-    pub fn deregister_region(&self, key: MrKey) {
-        self.slot.regions.write().remove(&key);
-    }
-
-    /// Returns a handle to one of this node's own regions.
-    pub fn local_region(&self, key: MrKey) -> Option<MemoryRegion> {
-        self.slot.regions.read().get(&key).cloned()
-    }
-
-    fn remote_region(&self, node: NodeId, key: MrKey) -> Result<MemoryRegion, NetError> {
+    /// A one-sided read of `node`'s region `key`: `read` runs on the
+    /// region after the round trip of `len` bytes. The caller pays the
+    /// latency; the remote CPU is not involved.
+    fn read_remote(
+        &self,
+        node: NodeId,
+        key: MrKey,
+        len: usize,
+        read: impl FnOnce(&MemoryRegion) -> Result<Vec<u8>, NetError>,
+    ) -> Result<Vec<u8>, NetError> {
         if !self.fabric.link_up(self.id, node) {
             return Err(NetError::Unreachable(node));
         }
@@ -119,75 +112,11 @@ impl<M: Send + WireSize> Endpoint<M> {
             return Err(NetError::Unreachable(node));
         }
         let region = slot.regions.read().get(&key).cloned();
-        region.ok_or(NetError::UnknownRegion { node, key })
-    }
-
-    /// One-sided read of `[offset, offset + len)` from `node`'s region
-    /// `key`. The caller pays the round-trip latency; the remote CPU is
-    /// not involved.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`], [`NetError::UnknownRegion`] or
-    /// [`NetError::OutOfBounds`].
-    pub fn rdma_read(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        let region = self.remote_region(node, key)?;
+        let region = region.ok_or(NetError::UnknownRegion { node, key })?;
         spin_wait(self.fabric.latency.round_trip(len));
-        let out = region.read(offset, len)?;
+        let out = read(&region)?;
         self.slot.stats.record_rdma_read(len);
         Ok(out)
-    }
-
-    /// One-sided read like [`Endpoint::rdma_read`], but reads past the
-    /// end of the region return zeros instead of failing — registered
-    /// regions grow lazily and unwritten bytes are zero by definition.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`] or [`NetError::UnknownRegion`].
-    pub fn rdma_read_padded(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        let region = self.remote_region(node, key)?;
-        spin_wait(self.fabric.latency.round_trip(len));
-        let available = region.len().saturating_sub(offset).min(len);
-        let mut out = vec![0u8; len];
-        if available > 0 {
-            let bytes = region.read(offset, available)?;
-            out[..available].copy_from_slice(&bytes);
-        }
-        self.slot.stats.record_rdma_read(len);
-        Ok(out)
-    }
-
-    /// One-sided write of `bytes` into `node`'s region `key` at `offset`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`], [`NetError::UnknownRegion`] or
-    /// [`NetError::OutOfBounds`].
-    pub fn rdma_write(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        bytes: &[u8],
-    ) -> Result<(), NetError> {
-        let region = self.remote_region(node, key)?;
-        spin_wait(self.fabric.latency.round_trip(bytes.len()));
-        region.write(offset, bytes)?;
-        self.slot.stats.record_rdma_write(bytes.len());
-        Ok(())
     }
 }
 
@@ -232,18 +161,55 @@ impl<M: Send + WireSize + Clone> Endpoint<M> {
         }
         Ok(())
     }
+}
 
-    /// Sends the same message to several nodes (the paper's client-side
-    /// multicast re-send path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Closed`] if this endpoint was killed.
-    pub fn multicast(&self, to: &[NodeId], msg: M) -> Result<(), NetError> {
-        for &t in to {
-            self.send(t, msg.clone())?;
-        }
-        Ok(())
+impl<M: Send + WireSize + Clone> Transport<M> for Endpoint<M> {
+    fn id(&self) -> NodeId {
+        Endpoint::id(self)
+    }
+
+    fn stats(&self) -> &NetStats {
+        Endpoint::stats(self)
+    }
+
+    fn send(&self, to: NodeId, msg: M) -> Result<(), NetError> {
+        Endpoint::send(self, to, msg)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), NetError> {
+        Endpoint::recv_timeout(self, timeout)
+    }
+
+    fn try_recv(&self) -> Result<Option<(NodeId, M)>, NetError> {
+        Endpoint::try_recv(self)
+    }
+
+    fn register_region(&self, key: MrKey, region: MemoryRegion) {
+        self.slot.regions.write().insert(key, region);
+    }
+
+    fn deregister_region(&self, key: MrKey) {
+        self.slot.regions.write().remove(&key);
+    }
+
+    fn rdma_read(
+        &self,
+        node: NodeId,
+        key: MrKey,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, NetError> {
+        self.read_remote(node, key, len, |region| region.read(offset, len))
+    }
+
+    fn rdma_read_padded(
+        &self,
+        node: NodeId,
+        key: MrKey,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, NetError> {
+        self.read_remote(node, key, len, |region| Ok(region.read_padded(offset, len)))
     }
 }
 
@@ -289,14 +255,18 @@ mod tests {
     #[test]
     fn rdma_read_write_round_trip() {
         let (_f, a, b) = pair();
-        b.register_region(7, MemoryRegion::new(64));
-        a.rdma_write(1, 7, 8, &[1, 2, 3]).unwrap();
+        let region = MemoryRegion::new(64);
+        b.register_region(7, region.clone());
+        // The owner writes through its own handle; a peer reads the same
+        // bytes one-sided.
+        region.write(8, &[1, 2, 3]).unwrap();
+        region.write(62, &[4, 5]).unwrap();
         assert_eq!(a.rdma_read(1, 7, 8, 3).unwrap(), vec![1, 2, 3]);
-        // The owner sees the same bytes locally.
-        assert_eq!(
-            b.local_region(7).unwrap().read(8, 3).unwrap(),
-            vec![1, 2, 3]
-        );
+        assert_eq!(a.rdma_read_padded(1, 7, 62, 4).unwrap(), vec![4, 5, 0, 0]);
+        assert!(matches!(
+            a.rdma_read(1, 7, 62, 4),
+            Err(NetError::OutOfBounds { region: 64, .. })
+        ));
     }
 
     #[test]
@@ -330,7 +300,7 @@ mod tests {
         b.register_region(1, MemoryRegion::new(8));
         f.fail_link(0, 1);
         assert_eq!(
-            a.rdma_write(1, 1, 0, &[1]).unwrap_err(),
+            a.rdma_read_padded(1, 1, 0, 1).unwrap_err(),
             NetError::Unreachable(1)
         );
     }
@@ -408,14 +378,15 @@ mod tests {
         a.send(1, Msg(vec![0; 10])).unwrap();
         b.recv_timeout(Duration::from_secs(1)).unwrap();
         a.rdma_read(1, 1, 0, 4).unwrap();
-        a.rdma_write(1, 1, 0, &[1, 2]).unwrap();
+        a.rdma_read_padded(1, 1, 14, 4).unwrap();
+        a.rdma_read(1, 1, 14, 4).unwrap_err(); // A failed read is not counted.
         let sa = a.stats().snapshot();
         assert_eq!(sa.msgs_sent, 1);
         assert_eq!(sa.bytes_sent, 10);
-        assert_eq!(sa.rdma_reads, 1);
-        assert_eq!(sa.rdma_read_bytes, 4);
-        assert_eq!(sa.rdma_writes, 1);
-        assert_eq!(sa.rdma_write_bytes, 2);
-        assert_eq!(b.stats().snapshot().msgs_received, 1);
+        assert_eq!(sa.rdma_reads, 2);
+        assert_eq!(sa.rdma_read_bytes, 8);
+        let sb = b.stats().snapshot();
+        assert_eq!(sb.msgs_received, 1);
+        assert_eq!(sb.rdma_reads, 0, "the target's CPU is not involved");
     }
 }

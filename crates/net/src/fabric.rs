@@ -113,9 +113,9 @@ impl<M: Send + WireSize> Fabric<M> {
     }
 
     /// Installs a message-level [`FaultInjector`], replacing any
-    /// previous one. It is consulted on every [`Endpoint::send`] /
-    /// [`Endpoint::multicast`] over an up link to a live node; one-sided
-    /// RDMA verbs and [`Fabric::inject`] bypass it.
+    /// previous one. It is consulted on every [`Endpoint::send`] (a
+    /// multicast is one per target) over an up link to a live node;
+    /// one-sided RDMA verbs and [`Fabric::inject`] bypass it.
     pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
         *self.inner.injector.write() = Some(injector);
     }

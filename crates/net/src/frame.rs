@@ -40,7 +40,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// What a frame carries. Application messages are opaque codec bodies;
 /// the remaining kinds implement the transport's internal handshake and
-/// the one-sided read/write emulation used by recovery.
+/// the one-sided read emulation used by recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -52,10 +52,6 @@ pub enum FrameKind {
     RdmaReadReq = 2,
     /// One-sided read response.
     RdmaReadResp = 3,
-    /// One-sided write request.
-    RdmaWriteReq = 4,
-    /// One-sided write response.
-    RdmaWriteResp = 5,
 }
 
 impl FrameKind {
@@ -65,8 +61,6 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::RdmaReadReq,
             3 => FrameKind::RdmaReadResp,
-            4 => FrameKind::RdmaWriteReq,
-            5 => FrameKind::RdmaWriteResp,
             _ => return None,
         })
     }

@@ -7,10 +7,11 @@
 //! - **Two-sided messaging** ([`Endpoint::send`] / [`Endpoint::recv`]):
 //!   typed messages delivered through a timestamp-ordered mailbox, with a
 //!   per-fabric [`LatencyModel`] injecting calibrated wire + NIC delays.
-//! - **One-sided verbs** ([`Endpoint::rdma_read`] / [`Endpoint::rdma_write`]):
-//!   direct access to a remote node's registered [`MemoryRegion`]s without
-//!   involving the remote CPU — the caller pays the round-trip latency,
-//!   the target thread is never scheduled, mirroring real RDMA semantics.
+//! - **One-sided reads** ([`Transport::rdma_read`] /
+//!   [`Transport::rdma_read_padded`]): direct access to a remote node's
+//!   registered [`MemoryRegion`]s without involving the remote CPU — the
+//!   caller pays the round-trip latency, the target thread is never
+//!   scheduled, mirroring real RDMA semantics.
 //! - **Failure injection** ([`Fabric::kill`]): a killed node's mailbox and
 //!   memory regions vanish; messages sent to it are silently dropped (the
 //!   sender must rely on timeouts, as on a real network) and one-sided
@@ -64,7 +65,7 @@ pub use latency::{spin_wait, LatencyModel};
 pub use memory::{MemoryRegion, MrKey};
 pub use payload::Payload;
 pub use stats::{NetStats, NetStatsSnapshot};
-pub use tcp::{TcpOptions, TcpTransport};
+pub use tcp::TcpTransport;
 pub use transport::Transport;
 
 /// Node identifier on a fabric.

@@ -12,9 +12,9 @@ pub type MrKey = u64;
 
 /// A registered memory region.
 ///
-/// The owner keeps a handle for local access; remote endpoints reach the
-/// same bytes through [`crate::Endpoint::rdma_read`] /
-/// [`crate::Endpoint::rdma_write`] without involving the owner's thread.
+/// The owner keeps a handle for local access; remote endpoints read the
+/// same bytes through [`Transport::rdma_read`](crate::Transport::rdma_read)
+/// without involving the owner's thread.
 #[derive(Clone)]
 pub struct MemoryRegion {
     data: Arc<RwLock<Vec<u8>>>,
@@ -31,13 +31,6 @@ impl MemoryRegion {
     pub fn new(len: usize) -> MemoryRegion {
         MemoryRegion {
             data: Arc::new(RwLock::new(vec![0u8; len])),
-        }
-    }
-
-    /// Wraps existing bytes.
-    pub fn from_vec(data: Vec<u8>) -> MemoryRegion {
-        MemoryRegion {
-            data: Arc::new(RwLock::new(data)),
         }
     }
 
@@ -79,6 +72,18 @@ impl MemoryRegion {
             });
         }
         Ok(d[offset..end].to_vec())
+    }
+
+    /// Reads `len` bytes at `offset`, zeros past the end of the region:
+    /// regions grow lazily, and unwritten bytes are zero by definition.
+    /// The one place that padding rule is written.
+    pub fn read_padded(&self, offset: usize, len: usize) -> Vec<u8> {
+        let d = self.data.read();
+        let start = offset.min(d.len());
+        let end = offset.saturating_add(len).min(d.len());
+        let mut out = vec![0u8; len];
+        out[..end - start].copy_from_slice(&d[start..end]);
+        out
     }
 
     /// Writes `bytes` at `offset`.
@@ -141,16 +146,6 @@ impl MemoryRegion {
         }
         Ok(())
     }
-
-    /// Runs `f` with read access to the whole region.
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.data.read())
-    }
-
-    /// Runs `f` with write access to the whole region.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        f(&mut self.data.write())
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +190,8 @@ mod tests {
 
     #[test]
     fn grow_preserves_contents() {
-        let mr = MemoryRegion::from_vec(vec![9, 9]);
+        let mr = MemoryRegion::new(2);
+        mr.write(0, &[9, 9]).unwrap();
         mr.grow(4);
         assert_eq!(mr.read(0, 4).unwrap(), vec![9, 9, 0, 0]);
         mr.grow(2); // No shrink.

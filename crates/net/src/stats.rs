@@ -22,8 +22,6 @@ pub struct NetStats {
     retransmits: AtomicU64,
     rdma_reads: AtomicU64,
     rdma_read_bytes: AtomicU64,
-    rdma_writes: AtomicU64,
-    rdma_write_bytes: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -46,10 +44,6 @@ pub struct NetStatsSnapshot {
     pub rdma_reads: u64,
     /// Bytes fetched by one-sided reads.
     pub rdma_read_bytes: u64,
-    /// One-sided writes issued.
-    pub rdma_writes: u64,
-    /// Bytes pushed by one-sided writes.
-    pub rdma_write_bytes: u64,
 }
 
 impl NetStats {
@@ -79,12 +73,6 @@ impl NetStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_rdma_write(&self, bytes: usize) {
-        self.rdma_writes.fetch_add(1, Ordering::Relaxed);
-        self.rdma_write_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> NetStatsSnapshot {
         NetStatsSnapshot {
@@ -95,8 +83,6 @@ impl NetStats {
             retransmits: self.retransmits.load(Ordering::Relaxed),
             rdma_reads: self.rdma_reads.load(Ordering::Relaxed),
             rdma_read_bytes: self.rdma_read_bytes.load(Ordering::Relaxed),
-            rdma_writes: self.rdma_writes.load(Ordering::Relaxed),
-            rdma_write_bytes: self.rdma_write_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -113,7 +99,6 @@ mod tests {
         s.record_recv(10);
         s.record_retransmit();
         s.record_rdma_read(100);
-        s.record_rdma_write(200);
         let snap = s.snapshot();
         assert_eq!(snap.msgs_sent, 2);
         assert_eq!(snap.bytes_sent, 30);
@@ -122,7 +107,5 @@ mod tests {
         assert_eq!(snap.retransmits, 1);
         assert_eq!(snap.rdma_reads, 1);
         assert_eq!(snap.rdma_read_bytes, 100);
-        assert_eq!(snap.rdma_writes, 1);
-        assert_eq!(snap.rdma_write_bytes, 200);
     }
 }

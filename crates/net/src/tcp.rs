@@ -13,11 +13,13 @@
 //!   its listen address and introduces itself with a `Hello` frame; the
 //!   accepting side registers the same stream for its own sends back.
 //!   Clients therefore need no listener of their own.
-//! - **One-sided verbs as internal RPCs.** `rdma_read`/`rdma_write`
-//!   travel as `RdmaReadReq`/`RdmaWriteReq` frames serviced directly by
-//!   the remote *reader thread* — the remote protocol thread is never
+//! - **One-sided reads as internal RPCs.** `rdma_read` and
+//!   `rdma_read_padded` travel as `RdmaReadReq` frames serviced directly
+//!   by the remote *reader thread* — the remote protocol thread is never
 //!   scheduled, preserving the one-sided property the recovery path
-//!   assumes.
+//!   assumes. A read whose reply would not fit one frame is split into
+//!   requests that do; the reader thread refuses a larger request as out
+//!   of bounds, allocating nothing for it.
 //! - **Logical stats.** Counters record message counts and `WireSize`
 //!   bytes (not encoded frame sizes), so a fixed protocol script
 //!   produces identical counters on sim and TCP.
@@ -25,11 +27,11 @@
 //! - **Pay per batch, not per frame.** A `send` issued while the
 //!   endpoint's own mailbox still holds input is *corked*: its encoded
 //!   frame joins a per-peer buffer that goes out as one write when the
-//!   owner runs out of input (see [`TcpTransport::send`] for every flush
-//!   trigger and the bound). With nothing queued a send is written
-//!   through at once, so a lone request never waits. Each reader thread
-//!   parses every frame one `read` returned and hands the decoded
-//!   messages to the mailbox under one lock and one wake-up.
+//!   owner runs out of input (see `send` in the `Transport` impl for
+//!   every flush trigger and the bound). With nothing queued a send is
+//!   written through at once, so a lone request never waits. Each
+//!   reader thread parses every frame one `read` returned and hands the
+//!   decoded messages to the mailbox under one lock and one wake-up.
 //!
 //! - **One receive path.** Messages land in the sim's [`Mailbox`] (due
 //!   at once) and `recv_timeout` is its `recv`: a hot receiver polls
@@ -47,34 +49,23 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::frame::{Codec, FrameBuf, FrameKind, FrameReader, WireReader};
+use crate::frame::{Codec, FrameBuf, FrameKind, FrameReader, WireReader, MAX_FRAME_LEN};
 use crate::mailbox::Mailbox;
-use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, WireSize};
+use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, Payload, WireSize};
 
-/// Tuning knobs for the TCP backend.
-#[derive(Debug, Clone)]
-pub struct TcpOptions {
-    /// Dial timeout for lazy connections.
-    pub connect_timeout: Duration,
-    /// How long a one-sided read/write waits for its response before
-    /// reporting the peer unreachable.
-    pub rpc_timeout: Duration,
-}
-
-impl Default for TcpOptions {
-    fn default() -> TcpOptions {
-        TcpOptions {
-            connect_timeout: Duration::from_millis(500),
-            rpc_timeout: Duration::from_secs(2),
-        }
-    }
-}
+/// Dial timeout for lazy connections.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a one-sided read waits for its reply before reporting the
+/// peer unreachable.
+const RPC_TIMEOUT: Duration = Duration::from_secs(2);
+/// The most bytes one read reply carries: its frame body also holds the
+/// rpc id (8 bytes) and a status byte.
+const READ_CHUNK: usize = MAX_FRAME_LEN - 9;
 
 /// A parsed one-sided response, mapped to `NetError` by the requester
 /// (which knows the target node id).
 enum RpcReply {
     ReadOk(Vec<u8>),
-    WriteOk,
     UnknownRegion,
     OutOfBounds { region: usize },
     Malformed,
@@ -141,7 +132,6 @@ struct Shared<M> {
 /// [`TcpTransport::client`] (clients: outbound connections only).
 pub struct TcpTransport<M> {
     peers: BTreeMap<NodeId, SocketAddr>,
-    opts: TcpOptions,
     inner: Arc<Shared<M>>,
     /// The accept thread and the address that reaches its listener;
     /// taken (and joined) by the first `close()`.
@@ -167,9 +157,8 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         listen: SocketAddr,
         peers: BTreeMap<NodeId, SocketAddr>,
         codec: Arc<dyn Codec<M>>,
-        opts: TcpOptions,
     ) -> std::io::Result<TcpTransport<M>> {
-        let t = TcpTransport::client(id, peers, codec, opts);
+        let t = TcpTransport::client(id, peers, codec);
         let listener = TcpListener::bind(listen)?;
         let mut wake = listener.local_addr()?;
         if wake.ip().is_unspecified() {
@@ -193,11 +182,9 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         id: NodeId,
         peers: BTreeMap<NodeId, SocketAddr>,
         codec: Arc<dyn Codec<M>>,
-        opts: TcpOptions,
     ) -> TcpTransport<M> {
         TcpTransport {
             peers,
-            opts,
             inner: Arc::new(Shared {
                 id,
                 codec,
@@ -214,16 +201,6 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
             }),
             accept: Mutex::new(None),
         }
-    }
-
-    /// This endpoint's node id.
-    pub fn id(&self) -> NodeId {
-        self.inner.id
-    }
-
-    /// This endpoint's traffic counters.
-    pub fn stats(&self) -> &NetStats {
-        &self.inner.stats
     }
 
     /// Number of received messages not yet handed to the owner.
@@ -245,11 +222,6 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         self.shut_down();
     }
 
-    /// Writes out every corked frame now (see [`TcpTransport::send`]).
-    pub fn flush(&self) {
-        self.inner.flush_corked();
-    }
-
     /// The writer for `node`: an existing connection (inbound or
     /// outbound) or a fresh dial of its configured address.
     fn writer_for(&self, node: NodeId) -> Option<Writer> {
@@ -257,7 +229,7 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
             return Some(Arc::clone(w));
         }
         let addr = *self.peers.get(&node)?;
-        let stream = TcpStream::connect_timeout(&addr, self.opts.connect_timeout).ok()?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok()?;
         let _ = stream.set_nodelay(true);
         let reader = stream.try_clone().ok()?;
         self.inner.streams.lock().push(reader.try_clone().ok()?);
@@ -284,60 +256,8 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         Some(entry)
     }
 
-    /// Posts a message. Fire-and-forget: connection or write failures
-    /// drop the message silently, exactly like the sim fabric.
-    ///
-    /// With this endpoint's mailbox empty and nothing corked, the frame
-    /// is written before `send` returns. While the mailbox still holds
-    /// undelivered input — its owner is inside a receive loop and will
-    /// be back — the encoded frame is *corked* in a per-peer buffer, so
-    /// an owner that drains k requests answers with one write per peer.
-    /// Corked frames are written out, oldest first per peer, by whichever
-    /// comes first: a `send` that finds the mailbox empty;
-    /// `recv_timeout`/`try_recv` finding nothing deliverable (before
-    /// polling or returning `None`); [`TcpTransport::flush`]; any
-    /// one-sided verb; `close()` or drop; or the total across all peers
-    /// reaching 64 frames or 128 KiB. Counters are recorded here either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Closed`] if this endpoint has been shut down.
-    pub fn send(&self, to: NodeId, msg: M) -> Result<(), NetError> {
-        if self.inner.shutdown.load(AtomicOrdering::Acquire) {
-            return Err(NetError::Closed);
-        }
-        self.inner.stats.record_send(msg.wire_size());
-        let mut body = FrameBuf::new();
-        self.inner.codec.encode(&msg, &mut body);
-        // Dial now: flushing never does, so that `close()` and drop can.
-        let Some(writer) = self.writer_for(to) else {
-            return Ok(());
-        };
-        let idle = self.queued() == 0;
-        let mut corked = self.inner.corked.lock();
-        if idle && corked.frames == 0 {
-            drop(corked);
-            self.inner
-                .write(to, &writer, |s| body.write_to(FrameKind::App, s));
-            return Ok(());
-        }
-        corked.push(to, &body);
-        if idle || corked.full() {
-            let due = std::mem::take(&mut *corked);
-            drop(corked);
-            self.inner.write_corked(due);
-        }
-        Ok(())
-    }
-
-    /// One-sided RPC: send a request frame and block for its reply.
-    fn rpc(
-        &self,
-        node: NodeId,
-        kind: FrameKind,
-        build: impl FnOnce(u64, &mut FrameBuf),
-    ) -> Option<RpcReply> {
+    /// One-sided RPC: send a read request and block for its reply.
+    fn rpc(&self, node: NodeId, build: impl FnOnce(u64, &mut FrameBuf)) -> Option<RpcReply> {
         // App frames corked for `node` must not fall behind this request,
         // and this thread is about to block for the reply.
         self.inner.flush_corked();
@@ -345,14 +265,15 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         let mut body = FrameBuf::new();
         build(rpc, &mut body);
         self.inner.rpcs.lock().insert(rpc, None);
-        let sent = self
-            .writer_for(node)
-            .is_some_and(|w| self.inner.write(node, &w, |s| body.write_to(kind, s)));
+        let sent = self.writer_for(node).is_some_and(|w| {
+            self.inner
+                .write(node, &w, |s| body.write_to(FrameKind::RdmaReadReq, s))
+        });
         if !sent {
             self.inner.rpcs.lock().remove(&rpc);
             return None;
         }
-        let deadline = crate::clock::now() + self.opts.rpc_timeout;
+        let deadline = crate::clock::now() + RPC_TIMEOUT;
         let mut rpcs = self.inner.rpcs.lock();
         loop {
             match rpcs.get(&rpc) {
@@ -374,7 +295,10 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         }
     }
 
-    fn rdma_read_inner(
+    /// A one-sided read, as requests whose replies fit one frame each.
+    /// Each request reads its chunk atomically; a read of several does
+    /// not, like a series of RDMA reads.
+    fn read_chunked(
         &self,
         node: NodeId,
         key: MrKey,
@@ -382,95 +306,35 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         len: usize,
         padded: bool,
     ) -> Result<Vec<u8>, NetError> {
-        let reply = self
-            .rpc(node, FrameKind::RdmaReadReq, |rpc, body| {
-                body.put_u64(rpc);
-                body.put_u64(key);
-                body.put_u64(offset as u64);
-                body.put_u64(len as u64);
-                body.put_u8(padded as u8);
-            })
-            .ok_or(NetError::Unreachable(node))?;
-        match reply {
-            RpcReply::ReadOk(bytes) => {
+        let mut out = Vec::new();
+        loop {
+            let at = offset.saturating_add(out.len());
+            let n = (len - out.len()).min(READ_CHUNK);
+            let reply = self
+                .rpc(node, |rpc, body| {
+                    body.put_u64(rpc);
+                    body.put_u64(key);
+                    body.put_u64(at as u64);
+                    body.put_u64(n as u64);
+                    body.put_u8(padded as u8);
+                })
+                .ok_or(NetError::Unreachable(node))?;
+            match reply {
+                RpcReply::ReadOk(bytes) if bytes.len() == n => out.extend(bytes),
+                RpcReply::UnknownRegion => return Err(NetError::UnknownRegion { node, key }),
+                RpcReply::OutOfBounds { region } => {
+                    return Err(NetError::OutOfBounds {
+                        offset,
+                        len,
+                        region,
+                    })
+                }
+                _ => return Err(NetError::Unreachable(node)),
+            }
+            if out.len() == len {
                 self.inner.stats.record_rdma_read(len);
-                Ok(bytes)
+                return Ok(out);
             }
-            RpcReply::UnknownRegion => Err(NetError::UnknownRegion { node, key }),
-            RpcReply::OutOfBounds { region } => Err(NetError::OutOfBounds {
-                offset,
-                len,
-                region,
-            }),
-            _ => Err(NetError::Unreachable(node)),
-        }
-    }
-
-    /// One-sided read of `node`'s region `key` (see
-    /// [`Endpoint::rdma_read`](crate::Endpoint::rdma_read)).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`] (including response timeout),
-    /// [`NetError::UnknownRegion`] or [`NetError::OutOfBounds`].
-    pub fn rdma_read(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        self.rdma_read_inner(node, key, offset, len, false)
-    }
-
-    /// One-sided read that zero-pads past the end of the region.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`] or [`NetError::UnknownRegion`].
-    pub fn rdma_read_padded(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        self.rdma_read_inner(node, key, offset, len, true)
-    }
-
-    /// One-sided write into `node`'s region `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`] (including response timeout),
-    /// [`NetError::UnknownRegion`] or [`NetError::OutOfBounds`].
-    pub fn rdma_write(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        bytes: &[u8],
-    ) -> Result<(), NetError> {
-        let reply = self
-            .rpc(node, FrameKind::RdmaWriteReq, |rpc, body| {
-                body.put_u64(rpc);
-                body.put_u64(key);
-                body.put_u64(offset as u64);
-                body.put_bytes(bytes);
-            })
-            .ok_or(NetError::Unreachable(node))?;
-        match reply {
-            RpcReply::WriteOk => {
-                self.inner.stats.record_rdma_write(bytes.len());
-                Ok(())
-            }
-            RpcReply::UnknownRegion => Err(NetError::UnknownRegion { node, key }),
-            RpcReply::OutOfBounds { region } => Err(NetError::OutOfBounds {
-                offset,
-                len: bytes.len(),
-                region,
-            }),
-            _ => Err(NetError::Unreachable(node)),
         }
     }
 }
@@ -550,26 +414,62 @@ impl<M> Shared<M> {
 
 impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<M> {
     fn id(&self) -> NodeId {
-        TcpTransport::id(self)
+        self.inner.id
     }
 
     fn stats(&self) -> &NetStats {
-        TcpTransport::stats(self)
+        &self.inner.stats
     }
 
+    /// Posts a message. Fire-and-forget: connection or write failures
+    /// drop the message silently, exactly like the sim fabric.
+    ///
+    /// With this endpoint's mailbox empty and nothing corked, the frame
+    /// is written before `send` returns. While the mailbox still holds
+    /// undelivered input — its owner is inside a receive loop and will
+    /// be back — the encoded frame is *corked* in a per-peer buffer, so
+    /// an owner that drains k requests answers with one write per peer.
+    /// Corked frames are written out, oldest first per peer, by whichever
+    /// comes first: a `send` that finds the mailbox empty;
+    /// `recv_timeout`/`try_recv` finding nothing deliverable (before
+    /// polling or returning `None`); `flush`; any one-sided read;
+    /// `close()` or drop; or the total across all peers reaching 64
+    /// frames or 128 KiB. Counters are recorded here either way.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Closed`] if this endpoint has been shut down.
     fn send(&self, to: NodeId, msg: M) -> Result<(), NetError> {
-        TcpTransport::send(self, to, msg)
-    }
-
-    fn multicast(&self, to: &[NodeId], msg: M) -> Result<(), NetError> {
-        for &t in to {
-            TcpTransport::send(self, t, msg.clone())?;
+        if self.inner.shutdown.load(AtomicOrdering::Acquire) {
+            return Err(NetError::Closed);
+        }
+        self.inner.stats.record_send(msg.wire_size());
+        let mut body = FrameBuf::new();
+        self.inner.codec.encode(&msg, &mut body);
+        // Dial now: flushing never does, so that `close()` and drop can.
+        let Some(writer) = self.writer_for(to) else {
+            return Ok(());
+        };
+        let idle = self.queued() == 0;
+        let mut corked = self.inner.corked.lock();
+        if idle && corked.frames == 0 {
+            drop(corked);
+            self.inner
+                .write(to, &writer, |s| body.write_to(FrameKind::App, s));
+            return Ok(());
+        }
+        corked.push(to, &body);
+        if idle || corked.full() {
+            let due = std::mem::take(&mut *corked);
+            drop(corked);
+            self.inner.write_corked(due);
         }
         Ok(())
     }
 
+    /// Writes out every corked frame now (see `send` above).
     fn flush(&self) {
-        TcpTransport::flush(self);
+        self.inner.flush_corked();
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), NetError> {
@@ -604,10 +504,6 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
         self.inner.regions.write().remove(&key);
     }
 
-    fn local_region(&self, key: MrKey) -> Option<MemoryRegion> {
-        self.inner.regions.read().get(&key).cloned()
-    }
-
     fn rdma_read(
         &self,
         node: NodeId,
@@ -615,7 +511,7 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, NetError> {
-        TcpTransport::rdma_read(self, node, key, offset, len)
+        self.read_chunked(node, key, offset, len, false)
     }
 
     fn rdma_read_padded(
@@ -625,17 +521,7 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, NetError> {
-        TcpTransport::rdma_read_padded(self, node, key, offset, len)
-    }
-
-    fn rdma_write(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        bytes: &[u8],
-    ) -> Result<(), NetError> {
-        TcpTransport::rdma_write(self, node, key, offset, bytes)
+        self.read_chunked(node, key, offset, len, true)
     }
 }
 
@@ -726,9 +612,7 @@ fn reader_loop<M: Send + WireSize + Clone + 'static>(
                     }
                 }
                 FrameKind::RdmaReadReq => serve_read(&shared, body, &writer),
-                FrameKind::RdmaWriteReq => serve_write(&shared, body, &writer),
-                FrameKind::RdmaReadResp => complete_rpc(&shared, true, body),
-                FrameKind::RdmaWriteResp => complete_rpc(&shared, false, body),
+                FrameKind::RdmaReadResp => complete_rpc(&shared, body),
             }
         }
         if !batch.is_empty() {
@@ -747,7 +631,8 @@ const RPC_UNKNOWN_REGION: u8 = 1;
 const RPC_OUT_OF_BOUNDS: u8 = 2;
 
 /// Services a one-sided read directly on the reader thread; the
-/// protocol thread is never involved (the "one-sided" property).
+/// protocol thread is never involved (the "one-sided" property). A
+/// request whose reply would not fit one frame is out of bounds.
 fn serve_read<M>(shared: &Shared<M>, body: &[u8], writer: &Writer) {
     let mut r = WireReader::new(body);
     let Ok((rpc, key, offset, len, padded)) = (|| -> Result<_, NetError> {
@@ -765,63 +650,32 @@ fn serve_read<M>(shared: &Shared<M>, body: &[u8], writer: &Writer) {
     resp.put_u64(rpc);
     match region {
         None => resp.put_u8(RPC_UNKNOWN_REGION),
-        Some(region) if padded => {
-            let available = region.len().saturating_sub(offset).min(len);
-            let mut out = vec![0u8; len];
-            if available > 0 {
-                if let Ok(bytes) = region.read(offset, available) {
-                    out[..available].copy_from_slice(&bytes);
-                }
-            }
-            resp.put_u8(RPC_OK);
-            resp.put_bytes(&out);
-        }
-        Some(region) => match region.read(offset, len) {
-            Ok(bytes) => {
+        Some(region) => {
+            let bytes = if len > READ_CHUNK {
+                None // The reply would not fit one frame.
+            } else if padded {
+                Some(region.read_padded(offset, len))
+            } else {
+                region.read(offset, len).ok()
+            };
+            if let Some(bytes) = bytes {
                 resp.put_u8(RPC_OK);
-                resp.put_bytes(&bytes);
-            }
-            Err(_) => {
+                resp.put_payload(&Payload::from(bytes));
+            } else {
                 resp.put_u8(RPC_OUT_OF_BOUNDS);
                 resp.put_u64(region.len() as u64);
             }
-        },
+        }
     }
     let _ = resp.write_to(FrameKind::RdmaReadResp, &mut *writer.lock());
 }
 
-/// Services a one-sided write directly on the reader thread.
-fn serve_write<M>(shared: &Shared<M>, body: &[u8], writer: &Writer) {
-    let mut r = WireReader::new(body);
-    let Ok((rpc, key, offset)) =
-        (|| -> Result<_, NetError> { Ok((r.u64()?, r.u64()?, r.u64()? as usize)) })()
-    else {
-        return;
-    };
-    let bytes = r.rest();
-    let region = shared.regions.read().get(&key).cloned();
-    let mut resp = FrameBuf::new();
-    resp.put_u64(rpc);
-    match region {
-        None => resp.put_u8(RPC_UNKNOWN_REGION),
-        Some(region) => match region.write(offset, bytes) {
-            Ok(()) => resp.put_u8(RPC_OK),
-            Err(_) => {
-                resp.put_u8(RPC_OUT_OF_BOUNDS);
-                resp.put_u64(region.len() as u64);
-            }
-        },
-    }
-    let _ = resp.write_to(FrameKind::RdmaWriteResp, &mut *writer.lock());
-}
-
 /// Parses a one-sided response and wakes the waiting requester.
-fn complete_rpc<M>(shared: &Shared<M>, is_read: bool, body: &[u8]) {
+fn complete_rpc<M>(shared: &Shared<M>, body: &[u8]) {
     let mut r = WireReader::new(body);
     let Ok(rpc) = r.u64() else { return };
     let reply = match r.u8() {
-        Ok(RPC_OK) if is_read => RpcReply::ReadOk(r.rest().to_vec()),
-        Ok(RPC_OK) => RpcReply::WriteOk,
+        Ok(RPC_OK) => RpcReply::ReadOk(r.rest().to_vec()),
         Ok(RPC_UNKNOWN_REGION) => RpcReply::UnknownRegion,
         Ok(RPC_OUT_OF_BOUNDS) => RpcReply::OutOfBounds {
             region: r.u64().unwrap_or(0) as usize,

@@ -13,11 +13,11 @@
 //!
 //! The trait mirrors the verbs the paper's protocol actually uses: two-
 //! sided fire-and-forget messaging, and the one-sided memory-region
-//! reads/writes recovery relies on. Fire-and-forget semantics are part
-//! of the contract — a send to a dead or unreachable peer returns
-//! `Ok(())` and the message vanishes; callers must use timeouts, as on
-//! a real network. `Err` from `send` means only that *this* endpoint is
-//! shut down.
+//! reads recovery relies on (the protocol never writes one-sided).
+//! Fire-and-forget semantics are part of the contract — a send to a
+//! dead or unreachable peer returns `Ok(())` and the message vanishes;
+//! callers must use timeouts, as on a real network. `Err` from `send`
+//! means only that *this* endpoint is shut down.
 
 use std::time::Duration;
 
@@ -57,12 +57,20 @@ pub trait Transport<M>: Send {
     fn flush(&self) {}
 
     /// Sends the same message to several nodes (the client's multicast
-    /// re-send path).
+    /// re-send path): one [`Transport::send`] each.
     ///
     /// # Errors
     ///
     /// As for [`Transport::send`].
-    fn multicast(&self, to: &[NodeId], msg: M) -> Result<(), NetError>;
+    fn multicast(&self, to: &[NodeId], msg: M) -> Result<(), NetError>
+    where
+        M: Clone,
+    {
+        for &t in to {
+            self.send(t, msg.clone())?;
+        }
+        Ok(())
+    }
 
     /// Blocks until a message arrives or the timeout elapses.
     ///
@@ -80,14 +88,11 @@ pub trait Transport<M>: Send {
     fn try_recv(&self) -> Result<Option<(NodeId, M)>, NetError>;
 
     /// Registers a memory region under `key`, making it remotely
-    /// readable/writable. Re-registering a key replaces the region.
+    /// readable. Re-registering a key replaces the region.
     fn register_region(&self, key: MrKey, region: MemoryRegion);
 
     /// Removes a region registration.
     fn deregister_region(&self, key: MrKey);
-
-    /// A handle to one of this node's own registered regions.
-    fn local_region(&self, key: MrKey) -> Option<MemoryRegion>;
 
     /// One-sided read of `[offset, offset + len)` from `node`'s region
     /// `key` — the recovery path's RDMA read.
@@ -105,7 +110,7 @@ pub trait Transport<M>: Send {
     ) -> Result<Vec<u8>, NetError>;
 
     /// One-sided read that zero-pads past the end of the region
-    /// (regions grow lazily; unwritten bytes are zero by definition).
+    /// ([`MemoryRegion::read_padded`]).
     ///
     /// # Errors
     ///
@@ -117,86 +122,4 @@ pub trait Transport<M>: Send {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, NetError>;
-
-    /// One-sided write of `bytes` into `node`'s region `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`], [`NetError::UnknownRegion`] or
-    /// [`NetError::OutOfBounds`].
-    fn rdma_write(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        bytes: &[u8],
-    ) -> Result<(), NetError>;
-}
-
-impl<M: Send + crate::WireSize + Clone> Transport<M> for crate::Endpoint<M> {
-    fn id(&self) -> NodeId {
-        crate::Endpoint::id(self)
-    }
-
-    fn stats(&self) -> &NetStats {
-        crate::Endpoint::stats(self)
-    }
-
-    fn send(&self, to: NodeId, msg: M) -> Result<(), NetError> {
-        crate::Endpoint::send(self, to, msg)
-    }
-
-    fn multicast(&self, to: &[NodeId], msg: M) -> Result<(), NetError> {
-        crate::Endpoint::multicast(self, to, msg)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), NetError> {
-        crate::Endpoint::recv_timeout(self, timeout)
-    }
-
-    fn try_recv(&self) -> Result<Option<(NodeId, M)>, NetError> {
-        crate::Endpoint::try_recv(self)
-    }
-
-    fn register_region(&self, key: MrKey, region: MemoryRegion) {
-        crate::Endpoint::register_region(self, key, region);
-    }
-
-    fn deregister_region(&self, key: MrKey) {
-        crate::Endpoint::deregister_region(self, key);
-    }
-
-    fn local_region(&self, key: MrKey) -> Option<MemoryRegion> {
-        crate::Endpoint::local_region(self, key)
-    }
-
-    fn rdma_read(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        crate::Endpoint::rdma_read(self, node, key, offset, len)
-    }
-
-    fn rdma_read_padded(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        crate::Endpoint::rdma_read_padded(self, node, key, offset, len)
-    }
-
-    fn rdma_write(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        bytes: &[u8],
-    ) -> Result<(), NetError> {
-        crate::Endpoint::rdma_write(self, node, key, offset, bytes)
-    }
 }

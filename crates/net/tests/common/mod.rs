@@ -7,9 +7,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ring_net::{
-    Codec, FrameBuf, NetError, NodeId, Payload, TcpOptions, TcpTransport, WireReader, WireSize,
-};
+use ring_net::{Codec, FrameBuf, NetError, NodeId, Payload, TcpTransport, WireReader, WireSize};
 
 /// Minimal protocol message: a tag plus an opaque body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,13 +69,7 @@ pub fn try_bind(
     id: NodeId,
     peers: &BTreeMap<NodeId, SocketAddr>,
 ) -> std::io::Result<TcpTransport<TestMsg>> {
-    TcpTransport::bind(
-        id,
-        peers[&id],
-        peers.clone(),
-        Arc::new(TestCodec),
-        TcpOptions::default(),
-    )
+    TcpTransport::bind(id, peers[&id], peers.clone(), Arc::new(TestCodec))
 }
 
 /// `n` listening endpoints with ids `0..n`, each knowing all the others.

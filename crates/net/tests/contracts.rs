@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use ring_net::{Fabric, LatencyModel, MemoryRegion, NetError, WireSize};
+use ring_net::{Fabric, LatencyModel, MemoryRegion, NetError, Transport, WireSize};
 
 #[derive(Debug, Clone, PartialEq)]
 struct M(usize);
@@ -81,24 +81,16 @@ fn fabric_latency_accessor_round_trips() {
 }
 
 #[test]
-fn local_region_lookup() {
+fn register_and_deregister_region() {
     let f: Fabric<M> = Fabric::new(LatencyModel::instant());
     let a = f.register(0).unwrap();
-    assert!(a.local_region(1).is_none());
-    a.register_region(1, MemoryRegion::new(8));
-    assert_eq!(a.local_region(1).unwrap().len(), 8);
-    a.deregister_region(1);
-    assert!(a.local_region(1).is_none());
-}
-
-#[test]
-fn region_with_and_with_mut() {
-    let r = MemoryRegion::from_vec(vec![1, 2, 3]);
-    let sum: u32 = r.with(|bytes| bytes.iter().map(|&b| b as u32).sum());
-    assert_eq!(sum, 6);
-    r.with_mut(|bytes| bytes.push(4));
-    assert_eq!(r.len(), 4);
-    assert!(!r.is_empty());
+    let b = f.register(1).unwrap();
+    let unknown = Err(NetError::UnknownRegion { node: 1, key: 1 });
+    assert_eq!(a.rdma_read(1, 1, 0, 0), unknown);
+    b.register_region(1, MemoryRegion::new(8));
+    assert_eq!(a.rdma_read(1, 1, 0, 8), Ok(vec![0; 8]));
+    b.deregister_region(1);
+    assert_eq!(a.rdma_read(1, 1, 0, 0), unknown);
 }
 
 #[test]

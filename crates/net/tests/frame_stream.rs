@@ -11,13 +11,11 @@ use ring_net::frame::{
 };
 use ring_net::{FrameBuf, FrameKind, NetError, Payload};
 
-const KINDS: [FrameKind; 6] = [
+const KINDS: [FrameKind; 4] = [
     FrameKind::App,
     FrameKind::Hello,
     FrameKind::RdmaReadReq,
     FrameKind::RdmaReadResp,
-    FrameKind::RdmaWriteReq,
-    FrameKind::RdmaWriteResp,
 ];
 
 type Frames = Vec<(FrameKind, Vec<u8>)>;
@@ -122,7 +120,7 @@ proptest! {
 
     #[test]
     fn any_chunking_yields_the_reference_frames(
-        frames in proptest::collection::vec((0usize..6, 0usize..5, any::<u8>()), 1..10),
+        frames in proptest::collection::vec((0usize..4, 0usize..5, any::<u8>()), 1..10),
         chunks in proptest::collection::vec(1usize..100_000, 1..12),
     ) {
         let (stream, _) = encode(&frames);
@@ -134,7 +132,7 @@ proptest! {
 
     #[test]
     fn a_bad_header_rejects_after_the_frames_before_it(
-        frames in proptest::collection::vec((0usize..6, 0usize..5, any::<u8>()), 1..8),
+        frames in proptest::collection::vec((0usize..4, 0usize..5, any::<u8>()), 1..8),
         chunks in proptest::collection::vec(1usize..100_000, 1..12),
         victim in any::<u8>(),
         damage in 0usize..4,

@@ -56,16 +56,18 @@ proptest! {
     }
 
     #[test]
-    fn rdma_write_read_round_trip(
-        data in proptest::collection::vec(any::<u8>(), 1..256),
-        offset in 0usize..64,
+    fn read_padded_zero_extends_the_region(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        offset in 0usize..512,
+        len in 0usize..512,
     ) {
-        let f: Fabric<Blob> = Fabric::new(LatencyModel::instant());
-        let a = f.register(0).unwrap();
-        let b = f.register(1).unwrap();
-        b.register_region(1, MemoryRegion::new(offset + data.len()));
-        a.rdma_write(1, 1, offset, &data).unwrap();
-        prop_assert_eq!(a.rdma_read(1, 1, offset, data.len()).unwrap(), data);
+        let region = MemoryRegion::new(bytes.len());
+        region.write(0, &bytes).unwrap();
+        let want: Vec<u8> = (offset..offset + len)
+            .map(|i| bytes.get(i).copied().unwrap_or(0))
+            .collect();
+        prop_assert_eq!(region.read_padded(offset, len), want);
+        prop_assert_eq!(region.read_padded(offset, 0), Vec::<u8>::new());
     }
 
     #[test]

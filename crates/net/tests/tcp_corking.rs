@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{peer_map, tcp_endpoints, try_bind, wait_until, TestCodec, TestMsg};
-use ring_net::{MemoryRegion, NetError, NodeId, TcpOptions, TcpTransport, Transport};
+use ring_net::{MemoryRegion, NetError, NodeId, TcpTransport, Transport};
 
 const LONG: Duration = Duration::from_secs(5);
 /// Long enough for a loopback frame that *was* written to arrive.
@@ -99,7 +99,9 @@ fn corked_send_is_released_by_flush_close_and_drop() {
 fn per_peer_fifo_across_cork_and_write_through_transitions() {
     let eps = tcp_endpoints(2);
     let (a, b) = (&eps[0], &eps[1]);
-    b.register_region(7, MemoryRegion::from_vec(vec![0xA5; 64]));
+    let region = MemoryRegion::new(64);
+    region.write(0, &[0xA5; 64]).unwrap();
+    b.register_region(7, region);
 
     // Written through. Receiving it first also makes B answer over this
     // connection instead of dialling a second one: order is per stream.
@@ -194,7 +196,7 @@ fn close_joins_the_accept_thread_and_frees_the_port() {
     let third = try_bind(0, &peers).expect("re-bind straight after drop");
 
     // The re-bound endpoint serves connections.
-    let client = TcpTransport::client(1, peers, Arc::new(TestCodec), TcpOptions::default());
+    let client = TcpTransport::client(1, peers, Arc::new(TestCodec));
     client.send(0, TestMsg::tagged(7)).unwrap();
     assert_eq!(recv_tag(&third), 7);
 }

@@ -17,6 +17,8 @@ use ring_net::{Fabric, LatencyModel, MemoryRegion, NetError, NetStatsSnapshot, N
 
 const NODE_A: NodeId = 0;
 const NODE_B: NodeId = 1;
+/// A node id neither backend was configured with.
+const UNCONFIGURED: NodeId = 99;
 const REGION: u64 = 7;
 
 /// The fixed script, written against the [`Transport`] trait only —
@@ -32,8 +34,10 @@ fn run_script<T: Transport<TestMsg>>(
     queued: impl Fn(&T) -> usize,
     corks: bool,
 ) -> (NetStatsSnapshot, NetStatsSnapshot) {
-    // B exposes a 1 KiB region for one-sided access.
-    b.register_region(REGION, MemoryRegion::from_vec(vec![0xA5; 1024]));
+    // B exposes a 1 KiB region for one-sided reads.
+    let region = MemoryRegion::new(1024);
+    region.write(0, &[0xA5; 1024]).expect("fill");
+    b.register_region(REGION, region.clone());
 
     // Two-sided traffic: five unicasts A -> B with distinct sizes, one
     // reply B -> A, one multicast A -> {B} (the client re-send shape).
@@ -106,19 +110,42 @@ fn run_script<T: Transport<TestMsg>>(
         assert_eq!(m.tag, 300 + i, "corked frames keep their order");
     }
 
-    // One-sided traffic: reads (exact and padded) and a write.
+    // One-sided traffic: reads, exact and padded, and a read of what the
+    // owner wrote through its own handle.
     let bytes = a.rdma_read(NODE_B, REGION, 16, 64).expect("rdma read");
     assert_eq!(bytes, vec![0xA5; 64]);
     let padded = a
         .rdma_read_padded(NODE_B, REGION, 1000, 48)
         .expect("padded read");
-    assert_eq!(padded.len(), 48);
-    a.rdma_write(NODE_B, REGION, 0, &[0x5A; 100])
-        .expect("rdma write");
+    assert_eq!(padded, [[0xA5; 24], [0; 24]].concat());
+    region.write(0, &[0x5A; 100]).expect("owner write");
     assert_eq!(
         a.rdma_read(NODE_B, REGION, 0, 4).expect("verify"),
         vec![0x5A; 4]
     );
+
+    // Failed reads: the same error on every backend, and no counter moves.
+    let before = a.stats().snapshot();
+    assert_eq!(
+        a.rdma_read(NODE_B, REGION + 1, 0, 4),
+        Err(NetError::UnknownRegion {
+            node: NODE_B,
+            key: REGION + 1
+        })
+    );
+    assert_eq!(
+        a.rdma_read(NODE_B, REGION, 1000, 48),
+        Err(NetError::OutOfBounds {
+            offset: 1000,
+            len: 48,
+            region: 1024
+        })
+    );
+    assert_eq!(
+        a.rdma_read_padded(UNCONFIGURED, REGION, 0, 4),
+        Err(NetError::Unreachable(UNCONFIGURED))
+    );
+    assert_eq!(a.stats().snapshot(), before, "failed reads count nothing");
 
     // Protocol-level retransmits are reported by the caller, not
     // inferred by the backend; the recorder must exist on both.
@@ -165,13 +192,12 @@ fn script_counters_match_hand_computation() {
     assert_eq!(a.msgs_received, 4);
     assert_eq!(a.bytes_received, 41 + 24);
     assert_eq!(a.retransmits, 2);
-    // A issued 3 reads (64 + 48 + 4 bytes) and 1 write (100 bytes).
+    // A's 3 reads succeeded (64 + 48 + 4 bytes); its 3 failed ones are
+    // not counted.
     assert_eq!(a.rdma_reads, 3);
     assert_eq!(a.rdma_read_bytes, 116);
-    assert_eq!(a.rdma_writes, 1);
-    assert_eq!(a.rdma_write_bytes, 100);
 
-    // B's view mirrors it; one-sided ops never touch B's counters
+    // B's view mirrors it; one-sided reads never touch B's counters
     // (the target CPU is not involved — that is the point of RDMA).
     assert_eq!(b.msgs_sent, 4);
     assert_eq!(b.bytes_sent, 41 + 24);
@@ -179,5 +205,4 @@ fn script_counters_match_hand_computation() {
     assert_eq!(b.bytes_received, unicast_bytes + 17 + over_backlog);
     assert_eq!(b.retransmits, 0);
     assert_eq!(b.rdma_reads, 0);
-    assert_eq!(b.rdma_writes, 0);
 }

@@ -21,7 +21,7 @@ use ring_kvs::client::{ClientOptions, RingClient};
 use ring_kvs::proto::Msg;
 use ring_kvs::types::{Key, MemgestId};
 use ring_kvs::RingError;
-use ring_net::{TcpOptions, TcpTransport};
+use ring_net::TcpTransport;
 use ring_server::config::{parse_cli_args, parse_scheme, ConfigError};
 use ring_wire::MsgCodec;
 
@@ -34,12 +34,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let ep = TcpTransport::client(
-        parsed.id,
-        parsed.topology.peers.clone(),
-        Arc::new(MsgCodec),
-        TcpOptions::default(),
-    );
+    let ep = TcpTransport::client(parsed.id, parsed.topology.peers.clone(), Arc::new(MsgCodec));
     let mut client = RingClient::new(
         ep,
         parsed.topology.config(),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ring_kvs::leader::{Leader, LeaderOptions};
 use ring_kvs::node::{Node, NodeOptions};
-use ring_net::{TcpOptions, TcpTransport};
+use ring_net::{TcpTransport, Transport};
 use ring_server::config::{parse_server_args, ServerArgs};
 use ring_server::{report, signal};
 use ring_wire::MsgCodec;
@@ -35,7 +35,6 @@ fn main() {
         parsed.listen,
         parsed.topology.peers.clone(),
         Arc::new(MsgCodec),
-        TcpOptions::default(),
     ) {
         Ok(t) => t,
         Err(e) => {

@@ -23,7 +23,7 @@ use ring_kvs::client::{ClientOptions, RingClient};
 use ring_kvs::config::{CLIENT_BASE, LEADER_NODE};
 use ring_kvs::proto::Msg;
 use ring_kvs::types::{MemgestDescriptor, MemgestId};
-use ring_net::{clock, NodeId, TcpOptions, TcpTransport};
+use ring_net::{clock, NodeId, TcpTransport};
 use ring_wire::MsgCodec;
 
 use crate::config::ClusterTopology;
@@ -225,12 +225,7 @@ impl LoopbackCluster {
     /// A fresh in-process client speaking TCP to the cluster.
     pub fn client(&self) -> RingClient<TcpTransport<Msg>> {
         let id = self.next_client.fetch_add(1, Ordering::AcqRel);
-        let ep = TcpTransport::client(
-            id,
-            self.topology.peers.clone(),
-            Arc::new(MsgCodec),
-            TcpOptions::default(),
-        );
+        let ep = TcpTransport::client(id, self.topology.peers.clone(), Arc::new(MsgCodec));
         RingClient::new(
             ep,
             self.topology.config(),

@@ -15,7 +15,7 @@ fn push_net(out: &mut String, net: &NetStatsSnapshot) {
         out,
         "\"net\":{{\"msgs_sent\":{},\"bytes_sent\":{},\"msgs_received\":{},\
          \"bytes_received\":{},\"retransmits\":{},\"rdma_reads\":{},\
-         \"rdma_read_bytes\":{},\"rdma_writes\":{},\"rdma_write_bytes\":{}}}",
+         \"rdma_read_bytes\":{}}}",
         net.msgs_sent,
         net.bytes_sent,
         net.msgs_received,
@@ -23,8 +23,6 @@ fn push_net(out: &mut String, net: &NetStatsSnapshot) {
         net.retransmits,
         net.rdma_reads,
         net.rdma_read_bytes,
-        net.rdma_writes,
-        net.rdma_write_bytes,
     );
 }
 

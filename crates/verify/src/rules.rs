@@ -126,7 +126,7 @@ pub fn is_deterministic_path(rel_path: &str) -> bool {
 /// True if `rel_path` holds protocol logic mirrored by the TLA+ spec:
 /// the shared step functions under `crates/core/src/protocol/`. Every
 /// `pub fn` there must carry a `// tla: <Action>` marker (see
-/// [`model_drift`]).
+/// `model_drift`).
 pub fn is_model_mirror_path(rel_path: &str) -> bool {
     rel_path.starts_with("crates/core/src/protocol/")
 }

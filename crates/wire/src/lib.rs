@@ -6,11 +6,11 @@
 //! is hand-rolled (no external serialisation dependency) with three
 //! properties the transport relies on:
 //!
-//! - **Zero-copy payloads on encode.** Value bytes ([`Payload`]) are
+//! - **Zero-copy payloads on encode.** Value bytes ([`Payload`](ring_net::Payload)) are
 //!   appended to the [`FrameBuf`] as shared segments: encoding a 1 MiB
 //!   put clones an `Arc`, never the megabyte.
 //! - **Panic-free decode.** Every field read is bounds-checked through
-//!   [`WireReader`]; truncated, oversized, or bad-version input returns
+//!   [`WireReader`](ring_net::WireReader); truncated, oversized, or bad-version input returns
 //!   [`NetError::BadFrame`], never panics. Trailing bytes after a
 //!   message are rejected too.
 //! - **Versioned framing.** The frame header carries the protocol

@@ -2,7 +2,7 @@
 //!
 //! Operation and storage prices for the *hot* (`Rep(3)`) and *cold*
 //! (`SRS(3,2,3)`) schemes come from Azure Blob Storage pricing for
-//! Central US as of February 2018 (the paper's reference [18]). Azure
+//! Central US as of February 2018 (the paper's reference \[18\]). Azure
 //! offers no unreplicated tier, so — exactly as the paper does — the
 //! *simple* (`Rep(1)`) scheme reuses the hot price points with 3x
 //! cheaper puts (writes are not replicated).

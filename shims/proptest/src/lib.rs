@@ -237,7 +237,7 @@ tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     pub struct SizeRange {
         lo: usize,
         hi_inclusive: usize,
