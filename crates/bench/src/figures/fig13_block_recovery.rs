@@ -8,10 +8,10 @@
 //! decode. Since the late-binding read path (DESIGN §8.5) that is a
 //! speculative `k + Δ` shard read: the promoted coordinator asks the
 //! surviving lane peers and `1 + Δ` parity nodes for their rows and
-//! decodes locally from the first `k` to arrive. The paper's shape —
-//! one parity node collecting the lane blocks from the survivors and
-//! reconstructing the range (`RecoverBlock`) — remains as the fallback
-//! when the speculative read runs out of peers or time.
+//! decodes locally from the first `k` to arrive. It is the only decoder:
+//! the paper's shape — one parity node collecting the lane blocks from
+//! the survivors by one-sided reads and reconstructing the range — is
+//! not reproduced (EXPERIMENTS.md, "Known deviations").
 //!
 //! Expected shape: latency grows with block size; SRS21 recovers faster
 //! than SRS31/SRS32 (2 blocks to collect instead of 3).

@@ -160,8 +160,6 @@ impl<T: Transport<Msg>> Leader<T> {
             | Msg::MetaFetchResp { .. }
             | Msg::FetchValue { .. }
             | Msg::FetchValueResp { .. }
-            | Msg::RecoverBlock { .. }
-            | Msg::RecoverBlockResp { .. }
             | Msg::ShardRead { .. }
             | Msg::ShardReadResp { .. }
             | Msg::ParityRebuildStart { .. }

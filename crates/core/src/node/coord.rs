@@ -703,9 +703,12 @@ impl<T: Transport<Msg>> Node<T> {
                     attempt,
                 );
                 let Some((read, asks)) = plan else {
-                    // Degenerate range (or no parity targets): the
-                    // delegated single-parity decode still covers it.
-                    self.recover_block(g, mid, addr, len, attempt);
+                    // No parity target to decode from (a zero-length
+                    // value is never fetched): fail as a spent budget.
+                    entry.fetching = false;
+                    for w in std::mem::take(&mut entry.waiters) {
+                        self.fail(w.client(), RingError::Unavailable("value copy lost".into()));
+                    }
                     return;
                 };
                 let token = self.next_spec_token;
@@ -715,7 +718,8 @@ impl<T: Transport<Msg>> Node<T> {
                     PendingSpecRead {
                         group: g,
                         memgest: mid,
-                        attempt,
+                        key,
+                        version,
                         sent_at: ring_net::clock::now(),
                         read,
                     },
@@ -763,7 +767,7 @@ impl<T: Transport<Msg>> Node<T> {
             return;
         };
         let outcome = sr.read.on_response(layout.code().rs(), from, bytes);
-        let ((addr, len), attempt) = (sr.read.range(), sr.attempt);
+        let addr = sr.read.range().0;
         match outcome {
             Outcome::Wait => {}
             Outcome::Ask(asks) => self.send_shard_reads(g, mid, token, asks),
@@ -771,15 +775,15 @@ impl<T: Transport<Msg>> Node<T> {
                 self.spec_reads.remove(&token);
                 self.install_recovered_range(g, mid, addr, &bytes);
             }
-            Outcome::FallBack => {
-                self.spec_reads.remove(&token);
-                self.recover_block(g, mid, addr, len, attempt);
-            }
         }
     }
 
-    /// Expires speculative reads whose stragglers never arrived (dead
-    /// links), handing the range to the delegated decode.
+    /// Expires speculative reads that could not decode in time — rows
+    /// lost to dead links, or too many declines — and re-plans each at
+    /// its entry's next fetch attempt, against the rotated parity set.
+    /// Paced rather than immediate: a decline means a peer is recovering
+    /// or holey, and an instant retry would spend the budget in a few
+    /// hops.
     pub(crate) fn expire_spec_reads(&mut self, now: std::time::Instant) {
         const SPEC_RETRY: std::time::Duration = std::time::Duration::from_millis(150);
         let expired: Vec<u64> = self
@@ -790,46 +794,23 @@ impl<T: Transport<Msg>> Node<T> {
             .collect();
         for t in expired {
             let sr = self.spec_reads.remove(&t).expect("present");
-            let (addr, len) = sr.read.range();
-            self.recover_block(sr.group, sr.memgest, addr, len, sr.attempt);
+            let (g, mid) = (sr.group, sr.memgest);
+            let entry = self
+                .groups
+                .get_mut(&g)
+                .and_then(|gs| gs.coord.get_mut(&mid))
+                .and_then(|coord| coord.meta.get_mut(sr.key, sr.version));
+            match entry {
+                Some(e) if !e.data_present => e.fetching = false,
+                _ => continue, // Decoded by another read, or pruned.
+            }
+            self.fetch(g, mid, sr.key, sr.version, false);
         }
-    }
-
-    /// The pre-speculation path (Section 5.5, Figure 13): asks a single
-    /// parity node, rotated by `attempt`, for a delegated decode — it
-    /// gathers the lane blocks itself with one-sided reads. Covers the
-    /// ranges a speculative read cannot plan and the reads it abandons.
-    fn recover_block(&mut self, g: GroupId, mid: MemgestId, addr: usize, len: usize, attempt: u8) {
-        let Some(gs) = self.groups.get(&g) else {
-            return;
-        };
-        let (Some(shard), Some(coord)) = (gs.shard, gs.coord.get(&mid)) else {
-            return;
-        };
-        let Scheme::Srs { m, .. } = coord.desc.scheme else {
-            return;
-        };
-        let targets = self.config.parity_targets(g, m);
-        if targets.is_empty() {
-            return;
-        }
-        let parity = targets[attempt as usize % targets.len()];
-        let _ = self.ep.send(
-            parity,
-            Msg::RecoverBlock {
-                group: g,
-                memgest: mid,
-                shard,
-                addr,
-                len,
-            },
-        );
     }
 
     /// Writes a recovered byte range into the SRS heap, marks every
     /// entry fully contained in it as present, and releases their parked
-    /// requests (shared by the speculative decode and the delegated
-    /// `RecoverBlockResp` path).
+    /// requests.
     pub(crate) fn install_recovered_range(
         &mut self,
         g: GroupId,
@@ -900,39 +881,6 @@ impl<T: Transport<Msg>> Node<T> {
             values.insert((key, version), value);
         }
         self.release(g, mid, key, version, waiters);
-    }
-
-    /// Handles a decoded block arriving from a parity node.
-    pub(crate) fn handle_recover_block_resp(
-        &mut self,
-        g: GroupId,
-        mid: MemgestId,
-        addr: usize,
-        bytes: Option<Payload>,
-    ) {
-        if let Some(bytes) = bytes {
-            self.install_recovered_range(g, mid, addr, &bytes);
-            return;
-        }
-        // The parity could not serve (dead link or peer, or mid-rebuild):
-        // retry the range against the next parity target.
-        let coord = self
-            .groups
-            .get_mut(&g)
-            .and_then(|gs| gs.coord.get_mut(&mid));
-        let Some(coord) = coord else {
-            return;
-        };
-        let mut retry = Vec::new();
-        for (k, v, e) in coord.meta.iter_mut() {
-            if e.fetching && !e.data_present && e.addr >= addr {
-                e.fetching = false;
-                retry.push((k, v));
-            }
-        }
-        for (k, v) in retry {
-            self.fetch(g, mid, k, v, false);
-        }
     }
 
     /// Proactively recovers a few missing entries per tick (Section

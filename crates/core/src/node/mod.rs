@@ -182,9 +182,10 @@ pub(crate) struct PendingFetch {
 pub(crate) struct PendingSpecRead {
     pub group: GroupId,
     pub memgest: MemgestId,
-    /// Fetch-attempt number of the triggering entry: seeded the parity
-    /// rotation and picks the single target of the delegated fallback.
-    pub attempt: u8,
+    /// The entry being fetched, re-planned at its next attempt when the
+    /// read expires.
+    pub key: Key,
+    pub version: Version,
     pub sent_at: Instant,
     pub read: SpecRead,
 }
@@ -553,19 +554,6 @@ impl<T: Transport<Msg>> Node<T> {
                 version,
                 value,
             } => self.handle_fetch_value_resp(group, memgest, key, version, value),
-            Msg::RecoverBlock {
-                group,
-                memgest,
-                shard,
-                addr,
-                len,
-            } => self.handle_recover_block(from, group, memgest, shard, addr, len),
-            Msg::RecoverBlockResp {
-                group,
-                memgest,
-                addr,
-                bytes,
-            } => self.handle_recover_block_resp(group, memgest, addr, bytes),
             Msg::ParityRebuildStart { group, memgest } => {
                 self.handle_parity_rebuild_start(from, group, memgest)
             }
@@ -973,26 +961,30 @@ mod tests {
 
         rig.request(1, ClientReq::Get { key: KEY });
         step(&mut node);
-        // Every attempt is a speculative read nobody answers, handed to
-        // the delegated decode at expiry, which the parity declines.
-        let later = ring_net::clock::now() + Duration::from_secs(1);
+        // Every attempt is a speculative read every peer declines. It
+        // stays in flight until it expires; the expiry re-plans it at the
+        // entry's next attempt, and the last one spends the budget.
         for attempt in 1..=FETCH_BUDGET {
             let entry = node.groups[&rig.g].coord[&SRS32].meta.get(KEY, 1);
             let entry = entry.expect("planted");
             assert!(entry.fetching && entry.waiters.len() == 1, "{entry:?}");
             assert_eq!(entry.fetch_attempts, attempt);
-            assert_eq!(node.spec_reads.len(), 1);
-            node.expire_spec_reads(later);
-            assert!(node.spec_reads.is_empty());
-            let declined = Msg::RecoverBlockResp {
-                group: rig.g,
-                memgest: SRS32,
-                addr: 0,
-                bytes: None,
-            };
-            rig.leader.send(rig.coordinator, declined).expect("link up");
-            step(&mut node);
+            let &token = node.spec_reads.keys().next().expect("a read in flight");
+            for peer in rig.eps.values() {
+                let declined = Msg::ShardReadResp {
+                    group: rig.g,
+                    memgest: SRS32,
+                    token,
+                    bytes: None,
+                };
+                peer.send(rig.coordinator, declined).expect("link up");
+                step(&mut node);
+            }
+            let in_flight: Vec<u64> = node.spec_reads.keys().copied().collect();
+            assert_eq!(in_flight, [token], "declined, yet kept until expiry");
+            node.expire_spec_reads(ring_net::clock::now() + Duration::from_secs(1));
         }
+        assert!(node.spec_reads.is_empty());
         rig.expect_error(1, RingError::Unavailable("value copy lost".into()));
         let entry = node.groups[&rig.g].coord[&SRS32].meta.get(KEY, 1);
         let entry = entry.expect("planted");
@@ -1038,44 +1030,6 @@ mod tests {
         rig.expect_reply(1, ClientResp::PutOk { version: 1 });
         let value = Payload::from(b"doomed".to_vec());
         rig.expect_reply(2, ClientResp::GetOk { value, version: 1 });
-    }
-
-    #[test]
-    fn recover_block_declines_when_a_lane_peer_cannot_be_read() {
-        let mut rig = Rig::new();
-        let parity = rig.config.redundant(rig.g, 0);
-        let mut node = rig.node(parity);
-        // The coordinators exist (their heaps are registered) but idle.
-        let coordinators: Vec<Node> = (0..rig.config.s)
-            .map(|shard| rig.node(rig.config.coordinator(rig.g, shard)))
-            .collect();
-        let recover = Msg::RecoverBlock {
-            group: rig.g,
-            memgest: SRS32,
-            shard: rig.shard,
-            addr: 0,
-            len: 64,
-        };
-        let reply = |bytes| Msg::RecoverBlockResp {
-            group: rig.g,
-            memgest: SRS32,
-            addr: 0,
-            bytes,
-        };
-
-        // Nothing was ever written: all-zero lanes decode to zeros.
-        rig.client.send(parity, recover.clone()).expect("link up");
-        step(&mut node);
-        let (_, msg) = rig.client.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(msg, reply(Some(Payload::from(vec![0u8; 64]))));
-
-        // A dead lane peer is not an all-zero lane.
-        let dead = (rig.shard + 1) % rig.config.s;
-        rig.fabric.kill(coordinators[dead].id);
-        rig.client.send(parity, recover).expect("link up");
-        step(&mut node);
-        let (_, msg) = rig.client.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(msg, reply(None));
     }
 
     /// A move released from the version it parked on writes a higher

@@ -431,7 +431,7 @@ impl<T: Transport<Msg>> Node<T> {
                 for seg in layout.split_range(*shard, 0, bytes.len()) {
                     let c = layout.code().rs().coefficient(my_idx, seg.source);
                     let mut piece = bytes[seg.data_addr..seg.data_addr + seg.len].to_vec();
-                    super::redundant::scale_in_place(&mut piece, c);
+                    ring_gf::region::mul_in_place(&mut piece, c);
                     let end = seg.parity_addr + seg.len;
                     if end > region.len() {
                         region.grow(end.next_power_of_two());
@@ -451,7 +451,7 @@ impl<T: Transport<Msg>> Node<T> {
                     for seg in layout.split_range(*shard, 0, bytes.len()) {
                         let c = layout.code().rs().coefficient(q, seg.source);
                         let mut piece = bytes[seg.data_addr..seg.data_addr + seg.len].to_vec();
-                        super::redundant::scale_in_place(&mut piece, c);
+                        ring_gf::region::mul_in_place(&mut piece, c);
                         let end = (seg.parity_addr + seg.len).min(tmp.len());
                         if seg.parity_addr < end {
                             for (dst, src) in tmp[seg.parity_addr..end]
@@ -477,7 +477,7 @@ impl<T: Transport<Msg>> Node<T> {
                         continue;
                     }
                     let mut piece = tmp[seg.parity_addr..end].to_vec();
-                    super::redundant::scale_in_place(&mut piece, factor);
+                    ring_gf::region::mul_in_place(&mut piece, factor);
                     if seg.parity_addr + piece.len() > region.len() {
                         region.grow((seg.parity_addr + piece.len()).next_power_of_two());
                     }

@@ -1,11 +1,12 @@
 //! Redundant-node request processing: replica writes, parity updates,
-//! metadata serving, and on-the-fly block decode (Sections 5.3 and 5.5).
+//! metadata serving, and the raw shard reads a degraded coordinator
+//! decodes from (Sections 5.3 and 5.5). No decode happens here: the
+//! coordinator that lost a range decodes it itself (`SpecRead`).
 
-use ring_gf::Gf256;
 use ring_net::{NodeId, Payload, Transport};
 
 use crate::proto::{MetaEntry, Msg, ParitySeg};
-use crate::storage::{data_mr_key, CoordStore, ObjectEntry, RedundantStore};
+use crate::storage::{CoordStore, ObjectEntry, RedundantStore};
 use crate::types::{shard_of, GroupId, Key, MemgestId, Version};
 
 use super::Node;
@@ -222,42 +223,6 @@ impl<T: Transport<Msg>> Node<T> {
         );
     }
 
-    /// Decodes a lost heap range for a recovering data node: collects
-    /// the surviving lane blocks (one-sided reads — the survivors' CPUs
-    /// are not involved) plus the local parity bytes, and solves for the
-    /// missing source (the online decode of Section 5.5).
-    pub(crate) fn handle_recover_block(
-        &mut self,
-        from: NodeId,
-        g: GroupId,
-        mid: MemgestId,
-        shard: usize,
-        addr: usize,
-        len: usize,
-    ) {
-        let my_idx = self
-            .groups
-            .get(&g)
-            .and_then(|gs| gs.red_idx)
-            .unwrap_or(usize::MAX);
-        let result = if self.rebuilds.contains_key(&(g, mid)) {
-            // The parity heap is not consistent yet; the requester will
-            // retry against another parity (or here, later).
-            None
-        } else {
-            self.decode_range(g, mid, my_idx, shard, addr, len)
-        };
-        let _ = self.ep.send(
-            from,
-            Msg::RecoverBlockResp {
-                group: g,
-                memgest: mid,
-                addr,
-                bytes: result.map(Payload::from),
-            },
-        );
-    }
-
     /// Serves a speculative shard-read: ships raw bytes of the requested
     /// ranges from this node's data heap (`parity == false`) or parity
     /// region (`parity == true`), so the degraded coordinator can decode
@@ -336,54 +301,6 @@ impl<T: Transport<Msg>> Node<T> {
         };
         Some(concat_ranges(region, ranges))
     }
-
-    fn decode_range(
-        &self,
-        g: GroupId,
-        mid: MemgestId,
-        parity_idx: usize,
-        shard: usize,
-        addr: usize,
-        len: usize,
-    ) -> Option<Vec<u8>> {
-        let gs = self.groups.get(&g)?;
-        let red = gs.redundant.get(&mid)?;
-        let RedundantStore::Parity { region, layout, .. } = &red.store else {
-            return None;
-        };
-        let params = layout.code().params();
-        let mut out = vec![0u8; len];
-        for seg in layout.split_range(shard, addr, len) {
-            let off = seg.data_addr - addr;
-            // Start from the parity bytes (zeros when the parity heap
-            // never grew that far — consistent with all-zero data).
-            let mut acc = region.read_padded(seg.parity_addr, seg.len);
-            // XOR out the surviving peers' contributions.
-            for j in 0..params.k {
-                if j == seg.source {
-                    continue;
-                }
-                let (peer_idx, peer_addr) = layout.peer_addr(&seg, j);
-                let peer_node = self.config.coordinator(g, peer_idx);
-                // Zeros only past the end of the peer's heap (never
-                // written, so all-zero by the coding convention). A peer
-                // that cannot be read makes the range undecodable here:
-                // decline, and the requester rotates to the next parity.
-                let peer = self
-                    .ep
-                    .rdma_read_padded(peer_node, data_mr_key(g, mid), peer_addr, seg.len)
-                    .ok()?;
-                let c = layout.code().rs().coefficient(parity_idx, j);
-                ring_gf::region::mul_acc(&mut acc, &peer, c);
-            }
-            // acc = g_{p, source} * D_source; divide by the coefficient.
-            let c = layout.code().rs().coefficient(parity_idx, seg.source);
-            let inv = c.checked_inv()?;
-            ring_gf::region::mul_in_place(&mut acc, inv);
-            out[off..off + seg.len].copy_from_slice(&acc);
-        }
-        Some(out)
-    }
 }
 
 /// Concatenates `(addr, len)` ranges of a region, zero-padded past its
@@ -395,9 +312,4 @@ fn concat_ranges(region: &ring_net::MemoryRegion, ranges: &[(usize, usize)]) -> 
         out.extend_from_slice(&region.read_padded(addr, len));
     }
     out
-}
-
-/// Multiplies `bytes` by a scalar in place — helper for parity rebuild.
-pub(crate) fn scale_in_place(bytes: &mut [u8], c: Gf256) {
-    ring_gf::region::mul_in_place(bytes, c);
 }

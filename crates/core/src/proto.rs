@@ -9,7 +9,7 @@ use ring_net::{NodeId, Payload, WireSize};
 
 use crate::config::ClusterConfig;
 use crate::error::RingError;
-use crate::types::{Epoch, GroupId, Key, MemgestDescriptor, MemgestId, ReqId, Version};
+use crate::types::{GroupId, Key, MemgestDescriptor, MemgestId, ReqId, Version};
 
 /// Fixed per-message header estimate (ids, opcodes, lengths).
 const HEADER: usize = 32;
@@ -333,31 +333,6 @@ pub enum Msg {
         /// The bytes, or `None` if this replica does not hold them.
         value: Option<Payload>,
     },
-    /// New data node -> parity node: decode my lost heap range
-    /// (on-the-fly block recovery, Section 5.5).
-    RecoverBlock {
-        /// Memgest group.
-        group: GroupId,
-        /// The memgest.
-        memgest: MemgestId,
-        /// Shard (data-node index) of the requester.
-        shard: usize,
-        /// Heap address of the lost range.
-        addr: usize,
-        /// Length of the lost range.
-        len: usize,
-    },
-    /// Parity node -> data node: the decoded bytes.
-    RecoverBlockResp {
-        /// Memgest group.
-        group: GroupId,
-        /// The memgest.
-        memgest: MemgestId,
-        /// Heap address.
-        addr: usize,
-        /// Decoded bytes (`None` if reconstruction failed).
-        bytes: Option<Payload>,
-    },
     /// Speculative reader -> shard holder: late-binding shard read.
     /// Return the concatenated bytes of `ranges` from your heap for
     /// this memgest — the data heap when `parity == false` (addressed
@@ -425,47 +400,6 @@ pub enum Msg {
     },
 }
 
-/// Epoch accessor used in tests and tracing.
-impl Msg {
-    /// The epoch carried by configuration messages.
-    pub fn epoch(&self) -> Option<Epoch> {
-        match self {
-            Msg::ConfigUpdate { config, .. } => Some(config.epoch),
-            _ => None,
-        }
-    }
-
-    /// Returns `(destination hint)` — purely a debugging aid.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::Request { .. } => "Request",
-            Msg::Response { .. } => "Response",
-            Msg::Replicate { .. } => "Replicate",
-            Msg::ReplicateAck { .. } => "ReplicateAck",
-            Msg::ParityUpdate { .. } => "ParityUpdate",
-            Msg::ParityAck { .. } => "ParityAck",
-            Msg::MetaRemove { .. } => "MetaRemove",
-            Msg::Heartbeat => "Heartbeat",
-            Msg::ConfigUpdate { .. } => "ConfigUpdate",
-            Msg::MemgestCreate { .. } => "MemgestCreate",
-            Msg::MemgestDrop { .. } => "MemgestDrop",
-            Msg::SetDefault { .. } => "SetDefault",
-            Msg::CtrlAck { .. } => "CtrlAck",
-            Msg::MetaFetch { .. } => "MetaFetch",
-            Msg::MetaFetchResp { .. } => "MetaFetchResp",
-            Msg::FetchValue { .. } => "FetchValue",
-            Msg::FetchValueResp { .. } => "FetchValueResp",
-            Msg::RecoverBlock { .. } => "RecoverBlock",
-            Msg::RecoverBlockResp { .. } => "RecoverBlockResp",
-            Msg::ShardRead { .. } => "ShardRead",
-            Msg::ShardReadResp { .. } => "ShardReadResp",
-            Msg::ParityRebuildStart { .. } => "ParityRebuildStart",
-            Msg::ParityRebuildInfo { .. } => "ParityRebuildInfo",
-            Msg::ParityRebuildDone { .. } => "ParityRebuildDone",
-        }
-    }
-}
-
 /// Size of a metadata entry on the wire.
 const META_ENTRY_SIZE: usize = 8 + 8 + 8 + 8 + 1;
 
@@ -495,9 +429,6 @@ impl WireSize for Msg {
                 Msg::FetchValueResp { value, .. } => {
                     24 + value.as_ref().map(|v| v.len()).unwrap_or(0)
                 }
-                Msg::RecoverBlockResp { bytes, .. } => {
-                    16 + bytes.as_ref().map(|b| b.len()).unwrap_or(0)
-                }
                 Msg::ShardRead { ranges, .. } => 24 + ranges.len() * 16,
                 Msg::ShardReadResp { bytes, .. } => {
                     24 + bytes.as_ref().map(|b| b.len()).unwrap_or(0)
@@ -518,7 +449,6 @@ impl WireSize for Msg {
                 | Msg::SetDefault { .. }
                 | Msg::MetaFetch { .. }
                 | Msg::FetchValue { .. }
-                | Msg::RecoverBlock { .. }
                 | Msg::ParityRebuildStart { .. }
                 | Msg::ParityRebuildDone { .. } => 24,
             }
@@ -585,18 +515,5 @@ mod tests {
             ],
         };
         assert!(m.wire_size() > HEADER + 20);
-    }
-
-    #[test]
-    fn epoch_extraction() {
-        let cfg = crate::config::ClusterConfig::initial(1, 0, 1, vec![0], vec![]);
-        let m = Msg::ConfigUpdate {
-            config: cfg,
-            memgests: vec![],
-            default: 0,
-        };
-        assert_eq!(m.epoch(), Some(0));
-        assert_eq!(Msg::Heartbeat.epoch(), None);
-        assert_eq!(Msg::Heartbeat.kind(), "Heartbeat");
     }
 }

@@ -5,10 +5,12 @@
 //! surviving lane blocks from the peer coordinators plus the matching
 //! parity bytes from `1 + Δ` parity nodes, the rest held in reserve.
 //! [`SpecRead::on_response`] consumes one answer and says what to do
-//! next — wait, ask a promoted reserve parity, install the decoded
-//! bytes, or fall back to the delegated decode. The machine never sends,
-//! allocates tokens or reads a clock: the node does that around it, and
-//! a test can feed it stripe rows by hand.
+//! next — wait, ask a promoted reserve parity, or install the decoded
+//! bytes. It is the only decoder of a lost SRS range. A read that can no
+//! longer reach `k` rows per segment just waits: the node expires it and
+//! re-plans at its next fetch attempt, against the rotated parity set.
+//! The machine never sends, allocates tokens or reads a clock: the node
+//! does that around it, and a test can feed it stripe rows by hand.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,15 +33,14 @@ pub struct Ask {
 /// What the node does after feeding one response to the machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// Still short of `k` rows for some segment; keep waiting.
+    /// Still short of `k` rows for some segment; keep waiting — also
+    /// when no reserve is left to reach them, until the node expires the
+    /// read.
     Wait,
     /// A contacted peer declined: send these to the promoted reserves.
     Ask(Vec<Ask>),
     /// Every segment had `k` distinct rows: the lost range's bytes.
     Decoded(Vec<u8>),
-    /// No reserve left to keep the read satisfiable: abandon it for the
-    /// delegated single-parity decode.
-    FallBack,
 }
 
 /// One contacted peer: which stripe rows it serves and the exact byte
@@ -167,7 +168,7 @@ impl SpecRead {
     /// length counts as a decline. Decodes the moment every segment has
     /// `k` distinct stripe rows among the arrived responses; otherwise
     /// promotes reserve parities until `k` rows per segment are still
-    /// reachable without the decliners, or gives up.
+    /// reachable without the decliners, or, with none left, waits.
     // tla: DegradedBind
     pub fn on_response(&mut self, rs: &Rs, from: NodeId, bytes: Option<Payload>) -> Outcome {
         let Some(peer) = self.peers.get(&from) else {
@@ -191,7 +192,7 @@ impl SpecRead {
         let mut asks = Vec::new();
         while !self.feasible() {
             let Some((p_idx, node)) = self.reserve.pop() else {
-                return Outcome::FallBack;
+                return Outcome::Wait;
             };
             let peer = SpecPeer::parity(&self.segs, self.k, p_idx);
             asks.push(peer.ask(node));

@@ -81,14 +81,15 @@ impl ObjectEntry {
 
     /// An entry recovered from a metadata replica: committed (write-ahead
     /// guarantees only intended writes are visible on redundancy) but
-    /// without local data.
+    /// without local data — unless there is none to lose: a zero-length
+    /// value is present as it stands and never fetched.
     pub fn recovered(len: usize, addr: usize, tombstone: bool) -> ObjectEntry {
         ObjectEntry {
             len,
             addr,
             committed: true,
             tombstone,
-            data_present: false,
+            data_present: len == 0,
             fetching: false,
             fetch_attempts: 0,
             waiters: Vec::new(),

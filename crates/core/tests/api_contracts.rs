@@ -122,31 +122,6 @@ fn msg_wire_sizes_order_sensibly() {
 }
 
 #[test]
-fn msg_kind_names_cover_planes() {
-    assert_eq!(Msg::Heartbeat.kind(), "Heartbeat");
-    assert_eq!(
-        Msg::MetaFetch {
-            group: 0,
-            memgest: 0,
-            shard: 0
-        }
-        .kind(),
-        "MetaFetch"
-    );
-    assert_eq!(
-        Msg::RecoverBlock {
-            group: 0,
-            memgest: 0,
-            shard: 0,
-            addr: 0,
-            len: 1
-        }
-        .kind(),
-        "RecoverBlock"
-    );
-}
-
-#[test]
 fn config_rotation_covers_every_pairing() {
     // With s+d groups, every (node, role position) pair occurs exactly
     // once — the basis of the balancing argument.

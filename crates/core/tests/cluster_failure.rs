@@ -4,6 +4,7 @@
 
 use std::time::{Duration, Instant};
 
+use ring_erasure::{SrsCode, SrsLayout};
 use ring_kvs::{Cluster, ClusterSpec, RingError};
 use ring_net::LatencyModel;
 
@@ -94,6 +95,89 @@ fn coordinator_failure_recovers_erasure_coded_data() {
             .unwrap_or_else(|e| panic!("key {key}: {e}"));
         assert_eq!(v, value, "key {key}");
     }
+    cluster.shutdown();
+}
+
+/// A degraded read never decodes past a holey lane. Coordinator 0 dies
+/// and its spare is promoted with metadata only (background recovery is
+/// off), so its heap keeps holes; then coordinator 1 dies too. A shard-1
+/// stripe that also needs shard 0's row has lost two rows, more than
+/// SRS(2,1) or SRS(3,1) can rebuild: its get must fail, not answer the
+/// zeros of the hole decoded as data. SRS(2,1) stripes whose lane peer
+/// is shard 2 still decode.
+#[test]
+fn degraded_read_past_a_holey_lane_errors_instead_of_decoding_zeros() {
+    const SRS21: u32 = 4;
+    const SRS31: u32 = 5;
+    const BLOCK: usize = 4096;
+    let cluster = Cluster::start(spec_with_spares(2));
+    let mut client = cluster.client();
+    let keys_on = |node| -> Vec<u64> {
+        (0..400)
+            .filter(|&k| cluster.coordinator_of(k) == node)
+            .collect()
+    };
+    let value = |key: u64| vec![(key % 251) as u8 + 1; BLOCK];
+    // Each value fills one sub-block, at the same heap addresses on every
+    // shard, so shard 0's lanes hold real bytes, not the zeros of a hole.
+    let mut shard1 = Vec::new();
+    for node in 0..3 {
+        let mut keys = keys_on(node).into_iter();
+        for (mid, n) in [(SRS21, 3), (SRS31, 2)] {
+            for (i, key) in keys.by_ref().take(n).enumerate() {
+                client.put_to(key, &value(key), mid).unwrap();
+                if node == 1 {
+                    shard1.push((mid, key, i * BLOCK));
+                }
+            }
+        }
+    }
+    let probe = |node| keys_on(node).pop().expect("a probe key");
+    for node in 0..2 {
+        client.put_to(probe(node), b"probe", 2).unwrap(); // REP3.
+    }
+
+    // Each promotion is done once its REP3 probe is served again.
+    cluster.kill(0);
+    get_eventually(&mut client, probe(0), Duration::from_secs(15)).unwrap();
+    cluster.kill(1);
+    get_eventually(&mut client, probe(1), Duration::from_secs(15)).unwrap();
+
+    let layout = SrsLayout::new(SrsCode::new(2, 1, 3).unwrap(), BLOCK).unwrap();
+    let survives = |addr| {
+        let seg = layout.split_range(1, addr, BLOCK)[0];
+        layout.peer_addr(&seg, 1 - seg.source).0 == 2
+    };
+    // An unrecoverable get costs the client's whole retry budget.
+    client.set_timeout(Duration::from_millis(50));
+    let mut decoded = 0;
+    for (mid, key, addr) in shard1 {
+        match client.get(key) {
+            Ok(v) => assert!(v == value(key), "key {key} (memgest {mid}): wrong bytes"),
+            Err(e) => assert!(mid == SRS31 || !survives(addr), "key {key}: {e}"),
+        }
+        decoded += usize::from(mid == SRS21 && survives(addr));
+    }
+    assert!(
+        decoded > 0,
+        "no SRS(2,1) stripe with its lane peer on shard 2"
+    );
+    cluster.shutdown();
+}
+
+/// A zero-length SRS value has no bytes to lose: the promoted
+/// coordinator serves it from its metadata without a decode.
+#[test]
+fn empty_srs_value_survives_its_coordinators_loss() {
+    let cluster = Cluster::start(spec_with_spares(1));
+    let mut client = cluster.client();
+    let key = (0..60u64)
+        .find(|&k| cluster.coordinator_of(k) == 2)
+        .expect("key on node 2");
+    client.put_to(key, b"", 6).unwrap(); // SRS(3,2).
+    cluster.kill(2);
+    let v = get_eventually(&mut client, key, Duration::from_secs(15)).unwrap();
+    assert!(v.is_empty(), "{v:?}");
     cluster.shutdown();
 }
 

@@ -173,10 +173,11 @@ fn each_decline_promotes_one_reserve_parity_until_none_is_left() {
     };
     assert_eq!(targets(&more), [PARITY + 1]);
     // Rows still reachable: data 1, parities 1 and 2 — exactly k, and
-    // nobody left in reserve: the next decline ends the read.
+    // nobody left in reserve: the next decline leaves the read waiting
+    // for its expiry, which re-plans it.
     assert_eq!(st.feed(&mut read, &asks[1]), Outcome::Wait);
     assert_eq!(st.feed(&mut read, &more[0]), Outcome::Wait);
-    assert_eq!(st.decline(&mut read, PARITY + 2), Outcome::FallBack);
+    assert_eq!(st.decline(&mut read, PARITY + 2), Outcome::Wait);
 }
 
 #[test]

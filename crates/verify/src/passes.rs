@@ -18,7 +18,7 @@ use crate::ast::{walk_items, Block, Expr, Item, ItemCtx, LetStmt, SourceFile, St
 use crate::index::WorkspaceIndex;
 use crate::lexer::Lexed;
 use crate::rules::{
-    guard_init, in_spans, test_mod_spans, Diagnostic, SuppressedHit, LOCK_ORDER, PAYLOAD_COPY,
+    guard_init, reported, test_mod_spans, Diagnostic, SuppressedHit, LOCK_ORDER, PAYLOAD_COPY,
     PROTOCOL_DRIFT,
 };
 
@@ -79,8 +79,7 @@ pub fn run_passes(
     em.out
 }
 
-/// Shared diagnostic sink: applies test-mod spans and `allow`
-/// directives, records suppressed hits.
+/// Where the workspace passes report, through [`reported`].
 struct Emitter<'a, 'b> {
     files: &'a [PassFile<'a>],
     spans: &'a [Vec<(u32, u32)>],
@@ -90,20 +89,16 @@ struct Emitter<'a, 'b> {
 
 impl Emitter<'_, '_> {
     fn emit(&mut self, file_idx: usize, line: u32, rule: &'static str, message: String) {
-        if in_spans(&self.spans[file_idx], line) {
-            return;
-        }
         let f = &self.files[file_idx];
-        if f.lexed.allowed(rule, line) {
-            self.sups[file_idx].push((line, rule));
-            return;
+        let (spans, sup) = (&self.spans[file_idx], &mut self.sups[file_idx]);
+        if reported(spans, f.lexed.allowed(rule, line), line, rule, sup) {
+            self.out.push(Diagnostic {
+                file: f.rel.to_string(),
+                line,
+                rule,
+                message,
+            });
         }
-        self.out.push(Diagnostic {
-            file: f.rel.to_string(),
-            line,
-            rule,
-            message,
-        });
     }
 }
 

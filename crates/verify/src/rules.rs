@@ -164,10 +164,6 @@ pub fn parse_tla_actions(text: &str) -> BTreeSet<String> {
     names
 }
 
-pub(crate) fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
-    spans.iter().any(|&(a, b)| a <= line && line <= b)
-}
-
 /// A finding that a suppression mechanism swallowed: `(line, rule)`.
 /// The stale-suppression checker uses these to tell live directives
 /// and allowlist entries from dead ones.
@@ -200,9 +196,27 @@ pub fn lint_file(
     sink.out
 }
 
-/// Where the per-file rules report, and the one place a finding is
-/// filtered: dropped inside a `#[cfg(test)]` mod, recorded into `sup`
-/// when a suppression covers it, reported otherwise.
+/// The one suppression filter of the per-file rules and the workspace
+/// passes: a finding at `line` is dropped inside a `#[cfg(test)]` mod
+/// (`spans`), recorded into `sup` when `allowed` (a directive or the
+/// allowlist covers it), and reported otherwise.
+pub(crate) fn reported(
+    spans: &[(u32, u32)],
+    allowed: bool,
+    line: u32,
+    rule: &'static str,
+    sup: &mut Vec<SuppressedHit>,
+) -> bool {
+    if spans.iter().any(|&(a, b)| a <= line && line <= b) {
+        return false;
+    }
+    if allowed {
+        sup.push((line, rule));
+    }
+    !allowed
+}
+
+/// Where the per-file rules report, through [`reported`].
 struct Sink<'a> {
     ctx: &'a FileContext<'a>,
     spans: Vec<(u32, u32)>,
@@ -212,21 +226,17 @@ struct Sink<'a> {
 
 impl Sink<'_> {
     fn emit(&mut self, line: u32, rule: &'static str, message: String) {
-        if in_spans(&self.spans, line) {
-            return;
-        }
         // The allowlist is a file-wide suppression of one rule.
         let allowlisted = rule == RELAXED_ORDERING && self.ctx.relaxed_allowlisted;
-        if allowlisted || self.ctx.lexed.allowed(rule, line) {
-            self.sup.push((line, rule));
-            return;
+        let allowed = allowlisted || self.ctx.lexed.allowed(rule, line);
+        if reported(&self.spans, allowed, line, rule, self.sup) {
+            self.out.push(Diagnostic {
+                file: self.ctx.rel_path.to_string(),
+                line,
+                rule,
+                message,
+            });
         }
-        self.out.push(Diagnostic {
-            file: self.ctx.rel_path.to_string(),
-            line,
-            rule,
-            message,
-        });
     }
 }
 

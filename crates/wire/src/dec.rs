@@ -394,25 +394,6 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, NetError> {
                 value,
             }
         }
-        MSG_RECOVER_BLOCK => Msg::RecoverBlock {
-            group: r.u8()?,
-            memgest: r.u32()?,
-            shard: get_usize(r)?,
-            addr: get_usize(r)?,
-            len: get_usize(r)?,
-        },
-        MSG_RECOVER_BLOCK_RESP => {
-            let group = r.u8()?;
-            let memgest = r.u32()?;
-            let addr = get_usize(r)?;
-            let bytes = get_opt_payload(r)?;
-            Msg::RecoverBlockResp {
-                group,
-                memgest,
-                addr,
-                bytes,
-            }
-        }
         MSG_SHARD_READ => {
             let group = r.u8()?;
             let memgest = r.u32()?;

@@ -427,32 +427,6 @@ pub fn encode_msg(msg: &Msg, out: &mut FrameBuf) {
             out.put_u64(*version);
             put_opt_payload(out, value);
         }
-        Msg::RecoverBlock {
-            group,
-            memgest,
-            shard,
-            addr,
-            len,
-        } => {
-            out.put_u8(MSG_RECOVER_BLOCK);
-            out.put_u8(*group);
-            out.put_u32(*memgest);
-            out.put_u64(*shard as u64);
-            out.put_u64(*addr as u64);
-            out.put_u64(*len as u64);
-        }
-        Msg::RecoverBlockResp {
-            group,
-            memgest,
-            addr,
-            bytes,
-        } => {
-            out.put_u8(MSG_RECOVER_BLOCK_RESP);
-            out.put_u8(*group);
-            out.put_u32(*memgest);
-            out.put_u64(*addr as u64);
-            put_opt_payload(out, bytes);
-        }
         Msg::ShardRead {
             group,
             memgest,

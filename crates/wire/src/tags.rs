@@ -19,8 +19,7 @@ pub const MSG_META_FETCH: u8 = 13;
 pub const MSG_META_FETCH_RESP: u8 = 14;
 pub const MSG_FETCH_VALUE: u8 = 15;
 pub const MSG_FETCH_VALUE_RESP: u8 = 16;
-pub const MSG_RECOVER_BLOCK: u8 = 17;
-pub const MSG_RECOVER_BLOCK_RESP: u8 = 18;
+// Tags 17 and 18 are retired: never reuse them.
 pub const MSG_PARITY_REBUILD_START: u8 = 19;
 pub const MSG_PARITY_REBUILD_INFO: u8 = 20;
 pub const MSG_PARITY_REBUILD_DONE: u8 = 21;
