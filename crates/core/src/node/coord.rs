@@ -161,7 +161,7 @@ impl<T: Transport<Msg>> Node<T> {
         let coord = gs.coord.get_mut(&mid).expect("memgest instantiated");
         let scheme = coord.desc.scheme;
 
-        if matches!(scheme, Scheme::Srs { .. }) && coord.stalled {
+        if matches!(scheme, Scheme::Srs { .. }) && !coord.stalled.is_empty() {
             // A new parity node is rebuilding: postpone the data write
             // and fan-out, but keep the version reservation.
             coord.meta.insert(
@@ -238,9 +238,7 @@ impl<T: Transport<Msg>> Node<T> {
                     // Versioned writes always land in fresh bump-allocated
                     // (zeroed) space, so the parity delta `new ^ old` is
                     // the value itself — no read-back or XOR needed.
-                    heap.region()
-                        .write(addr, &value)
-                        .expect("allocated range is in bounds");
+                    heap.write(addr, &value);
                     layout.split_range(shard, addr, len)
                 } else {
                     Vec::new()
@@ -590,8 +588,24 @@ impl<T: Transport<Msg>> Node<T> {
         self.bind_highest(g, key, Waiter::Move { client, dst });
     }
 
-    /// Flushes the stalled-put queue of a memgest after a parity rebuild
-    /// completes.
+    /// Stops stalling a memgest's puts for the rebuilding parity nodes
+    /// `done` names; once no rebuild stalls them, the queue flushes.
+    pub(crate) fn unstall(&mut self, g: GroupId, mid: MemgestId, done: impl Fn(NodeId) -> bool) {
+        let Some(c) = self
+            .groups
+            .get_mut(&g)
+            .and_then(|gs| gs.coord.get_mut(&mid))
+        else {
+            return;
+        };
+        c.stalled.retain(|&p| !done(p));
+        if c.stalled.is_empty() {
+            self.flush_stalled(g, mid);
+        }
+    }
+
+    /// Flushes the stalled-put queue of a memgest once no parity rebuild
+    /// stalls it.
     pub(crate) fn flush_stalled(&mut self, g: GroupId, mid: MemgestId) {
         let Some(gs) = self.groups.get_mut(&g) else {
             return;
@@ -599,9 +613,6 @@ impl<T: Transport<Msg>> Node<T> {
         let Some(shard) = gs.shard else {
             return;
         };
-        if let Some(c) = gs.coord.get_mut(&mid) {
-            c.stalled = false;
-        }
         let queue = gs.stalled.remove(&mid).unwrap_or_default();
         for sp in queue {
             // Remove the placeholder entry; execute_write re-inserts it
@@ -744,9 +755,11 @@ impl<T: Transport<Msg>> Node<T> {
         }
     }
 
-    /// Fan-in of a speculative shard read. Responses for unknown tokens
-    /// are stragglers past the decode point (or past an expiry) and are
-    /// dropped — that is the cancellation: late arrivals cost one branch.
+    /// Fan-in of a speculative shard read. A token not in `spec_reads`
+    /// may be a parity rebuild's row read (`handle_rebuild_rows`);
+    /// otherwise it is a straggler past the decode point (or past an
+    /// expiry) and is dropped — that is the cancellation: late arrivals
+    /// cost one branch.
     pub(crate) fn handle_shard_read_resp(
         &mut self,
         from: NodeId,
@@ -756,6 +769,7 @@ impl<T: Transport<Msg>> Node<T> {
         bytes: Option<Payload>,
     ) {
         let Some(sr) = self.spec_reads.get_mut(&token) else {
+            self.handle_rebuild_rows(g, mid, token, bytes);
             return;
         };
         if sr.group != g || sr.memgest != mid {
@@ -828,9 +842,7 @@ impl<T: Transport<Msg>> Node<T> {
         if let CoordStore::Srs { heap, .. } = &mut coord.store {
             heap.reserve_upto(end);
             // The recovered range replaces zeroed bytes; write directly.
-            heap.region()
-                .write(addr, bytes)
-                .expect("reserved range is in bounds");
+            heap.write(addr, bytes);
         } else {
             return;
         }

@@ -11,7 +11,7 @@ mod coord;
 mod recovery;
 mod redundant;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use ring_net::NodeId;
@@ -21,7 +21,7 @@ use ring_net::Transport;
 
 use crate::proto::{ClientResp, ClientTag, Msg, RingEndpoint};
 use crate::protocol::spec_read::SpecRead;
-use crate::storage::{data_mr_key, parity_mr_key, VolatileTable};
+use crate::storage::VolatileTable;
 use crate::storage::{CoordMemgest, CoordStore, Heap, RedundantMemgest, RedundantStore, Waiter};
 use crate::types::{GroupId, Key, MemgestDescriptor, MemgestId, ReqId, Scheme, Version};
 
@@ -145,23 +145,53 @@ pub(crate) struct StalledPut {
     pub on_commit: OnCommit,
 }
 
-/// One coordinator's answer during a parity rebuild.
+/// One coordinator's answer during a parity rebuild, and its heap rows
+/// as fetched so far.
 #[derive(Debug)]
 pub(crate) struct RebuildInfo {
+    /// The coordinator that answered.
+    pub from: NodeId,
     pub heap_len: usize,
-    pub data_valid: bool,
     pub entries: Vec<crate::proto::MetaEntry>,
+    /// `[0, heap_len)` of the coordinator's heap, filled chunk by chunk.
+    pub rows: Vec<u8>,
+    /// The coordinator declined its rows: its heap has holes.
+    pub invalid: bool,
 }
 
-/// Parity-rebuild progress on a freshly promoted redundant node.
+/// One `ShardRead` of a parity rebuild: a chunk of a coordinator's heap
+/// rows, or (`donor: Some(q)`) parity `q`'s rows over the one invalid
+/// shard's parity ranges.
+#[derive(Debug)]
+pub(crate) struct RowRead {
+    pub shard: usize,
+    pub donor: Option<usize>,
+    /// `(addr, len)` ranges asked for; the answer is their bytes in order.
+    pub ranges: Vec<(usize, usize)>,
+    /// The donor declined; the next retry asks the next donor.
+    pub declined: bool,
+    /// When the read was sent; unanswered for a retry period, it is
+    /// re-issued.
+    pub sent_at: Instant,
+}
+
+/// Parity-rebuild progress on a freshly promoted redundant node. It
+/// stays in [`Node::rebuilds`] until the re-encode is applied; while it
+/// does, parity deltas are dropped and parity shard reads declined.
 #[derive(Debug)]
 pub(crate) struct RebuildState {
     /// Coordinator shards that have answered `ParityRebuildInfo`.
     pub infos: BTreeMap<usize, RebuildInfo>,
     /// Shards expected to answer.
     pub expected: usize,
-    /// Last time `ParityRebuildStart` was (re)broadcast to unanswered
-    /// coordinators (they may themselves be mid-promotion).
+    /// Row reads not yet answered with bytes, by token.
+    pub reads: BTreeMap<u64, RowRead>,
+    /// The donor parity's index and its rows of the one invalid shard,
+    /// laid out at their parity addresses.
+    pub donor: Option<(usize, Vec<u8>)>,
+    /// Last retry: `ParityRebuildStart` re-sent to coordinators that
+    /// have not answered (they may themselves be mid-promotion), and
+    /// declined or long-unanswered reads re-issued.
     pub sent_at: Instant,
 }
 
@@ -207,6 +237,16 @@ pub(crate) struct GroupState {
     pub redundant: BTreeMap<MemgestId, RedundantMemgest>,
     /// Puts postponed per memgest during parity rebuild.
     pub stalled: BTreeMap<MemgestId, Vec<StalledPut>>,
+}
+
+impl GroupState {
+    /// The `(key, version)`s of `mid`'s puts stalled behind a parity
+    /// rebuild. Their placeholder entries hold no heap bytes yet: they
+    /// are neither holes in the heap nor metadata to ship to a parity.
+    pub(crate) fn stalled_puts(&self, mid: MemgestId) -> BTreeSet<(Key, Version)> {
+        let queue = self.stalled.get(&mid).into_iter().flatten();
+        queue.map(|sp| (sp.key, sp.version)).collect()
+    }
 }
 
 /// A Ring server node, generic over its network backend (the simulated
@@ -383,39 +423,11 @@ impl<T: Transport<Msg>> Node<T> {
             let _ = self.ep.send(LEADER_NODE, Msg::Heartbeat);
             self.retransmit(now);
             self.retry_fetches(now);
-            self.retry_rebuild_starts(now);
+            self.retry_rebuilds(now);
             self.expire_spec_reads(now);
             if self.opts.background_recovery && self.recovering == 0 {
                 self.background_recovery_sweep();
             }
-        }
-    }
-
-    /// Re-broadcasts `ParityRebuildStart` to coordinators that have not
-    /// answered yet (a coordinator promoted in the same failure burst
-    /// only answers once its own role state exists).
-    fn retry_rebuild_starts(&mut self, now: Instant) {
-        const START_RETRY: Duration = Duration::from_millis(150);
-        let mut resend = Vec::new();
-        for (&(g, mid), rb) in self.rebuilds.iter_mut() {
-            if now.duration_since(rb.sent_at) < START_RETRY {
-                continue;
-            }
-            rb.sent_at = now;
-            for shard in 0..self.config.s {
-                if !rb.infos.contains_key(&shard) {
-                    resend.push((self.config.coordinator(g, shard), g, mid));
-                }
-            }
-        }
-        for (target, g, mid) in resend {
-            let _ = self.ep.send(
-                target,
-                Msg::ParityRebuildStart {
-                    group: g,
-                    memgest: mid,
-                },
-            );
         }
     }
 
@@ -562,10 +574,8 @@ impl<T: Transport<Msg>> Node<T> {
                 memgest,
                 shard,
                 heap_len,
-                data_valid,
                 entries,
-            } => self
-                .handle_parity_rebuild_info(group, memgest, shard, heap_len, data_valid, entries),
+            } => self.handle_parity_rebuild_info(from, group, memgest, shard, heap_len, entries),
             Msg::ParityRebuildDone { group, memgest } => {
                 self.handle_parity_rebuild_done(from, group, memgest)
             }
@@ -619,13 +629,10 @@ impl<T: Transport<Msg>> Node<T> {
                 Scheme::Rep { .. } => CoordStore::Rep {
                     values: std::collections::HashMap::new(),
                 },
-                Scheme::Srs { k, m } => {
-                    let heap = Heap::new(desc.block_size * 4);
-                    self.ep
-                        .register_region(data_mr_key(g, id), heap.region().clone());
-                    let layout = srs_layout(k, m, s, desc.block_size);
-                    CoordStore::Srs { heap, layout }
-                }
+                Scheme::Srs { k, m } => CoordStore::Srs {
+                    heap: Heap::new(desc.block_size * 4),
+                    layout: srs_layout(k, m, s, desc.block_size),
+                },
             };
             gs.coord.insert(
                 id,
@@ -633,7 +640,7 @@ impl<T: Transport<Msg>> Node<T> {
                     desc,
                     meta: crate::storage::MetaTable::new(),
                     store,
-                    stalled: false,
+                    stalled: Default::default(),
                 },
             );
         }
@@ -648,11 +655,8 @@ impl<T: Transport<Msg>> Node<T> {
         let needs_rep_store = matches!(desc.scheme, Scheme::Rep { r } if r > 1);
         if (parity_code.is_some() || needs_rep_store) && !gs.redundant.contains_key(&id) {
             let store = if let Some((k, m)) = parity_code {
-                let region = ring_net::MemoryRegion::new(desc.block_size * 4);
-                self.ep
-                    .register_region(parity_mr_key(g, id), region.clone());
                 RedundantStore::Parity {
-                    region,
+                    region: ring_net::MemoryRegion::new(desc.block_size * 4),
                     len: 0,
                     layout: srs_layout(k, m, s, desc.block_size),
                 }
@@ -692,11 +696,8 @@ impl<T: Transport<Msg>> Node<T> {
                     gs.volatile.remove(key, version);
                     parked.extend(e.waiters.drain(..).map(|w| (*g, key, w)));
                 }
-                self.ep.deregister_region(data_mr_key(*g, id));
             }
-            if gs.redundant.remove(&id).is_some() {
-                self.ep.deregister_region(parity_mr_key(*g, id));
-            }
+            gs.redundant.remove(&id);
             let stalled = gs.stalled.remove(&id).unwrap_or_default();
             orphaned.extend(stalled.into_iter().map(|sp| sp.on_commit));
         }
@@ -911,7 +912,9 @@ mod tests {
         step(&mut node);
         // ...and an SRS put behind a parity rebuild is stalled.
         let gs = node.groups.get_mut(&g).expect("coordinated group");
-        gs.coord.get_mut(&SRS32).expect("instantiated").stalled = true;
+        let parity = rig.config.redundant(g, 0);
+        let coord = gs.coord.get_mut(&SRS32).expect("instantiated");
+        coord.stalled.insert(parity);
         rig.put(2, SRS32);
         step(&mut node);
         assert_eq!(node.groups[&g].stalled[&SRS32].len(), 1);
@@ -999,7 +1002,9 @@ mod tests {
         let mut node = rig.node(rig.coordinator);
         let g = rig.g;
         let gs = node.groups.get_mut(&g).expect("coordinated group");
-        gs.coord.get_mut(&SRS32).expect("instantiated").stalled = true;
+        let parity = rig.config.redundant(g, 0);
+        let coord = gs.coord.get_mut(&SRS32).expect("instantiated");
+        coord.stalled.insert(parity);
         rig.put(1, SRS32);
         rig.request(2, ClientReq::Get { key: KEY });
         step(&mut node);
@@ -1068,5 +1073,270 @@ mod tests {
             (3, ClientResp::GetOk { value, version: 1 }),
         ];
         assert_eq!(replies, BTreeMap::from(expected));
+    }
+
+    /// Steps every node until none has a message left: the hand-stepped
+    /// equivalent of letting a cluster run until it is quiet.
+    fn settle(nodes: &mut [Node]) {
+        let mut busy = true;
+        while busy {
+            busy = false;
+            for node in nodes.iter_mut() {
+                while let Ok(Some((from, msg))) = node.ep.try_recv() {
+                    node.dispatch(from, msg);
+                    busy = true;
+                }
+            }
+        }
+    }
+
+    /// `len` reproducible, aperiodic bytes (xorshift).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// Appends `lens[i]` noise bytes to the `mid` heap of the `i`-th
+    /// coordinator in `nodes`.
+    fn fill_heaps(nodes: &mut [Node], g: GroupId, mid: MemgestId, lens: &[usize]) {
+        for (i, (node, &len)) in nodes.iter_mut().zip(lens).enumerate() {
+            let coord = node.groups.get_mut(&g).expect("coordinated group");
+            let coord = coord.coord.get_mut(&mid).expect("instantiated");
+            let CoordStore::Srs { heap, .. } = &mut coord.store else {
+                unreachable!("SRS store")
+            };
+            let addr = heap.alloc(len);
+            heap.write(addr, &noise(len, i as u64 + 7));
+        }
+    }
+
+    /// Asserts that the `mid` parity region of `parity` (index `idx`)
+    /// equals a fresh re-encode of the coordinators' heaps: the put
+    /// path's per-segment parity deltas.
+    fn assert_re_encoded(parity: &Node, coordinators: &[Node], g: GroupId, mid: MemgestId) {
+        let idx = parity.groups[&g].red_idx.expect("redundant role");
+        let red = &parity.groups[&g].redundant[&mid];
+        let RedundantStore::Parity {
+            region,
+            len,
+            layout,
+        } = &red.store
+        else {
+            unreachable!("parity store")
+        };
+        let mut want = Vec::new();
+        for node in coordinators {
+            let gs = &node.groups[&g];
+            let CoordStore::Srs { heap, .. } = &gs.coord[&mid].store else {
+                unreachable!("SRS store")
+            };
+            let bytes = heap.region().read_padded(0, heap.len());
+            let shard = gs.shard.expect("coordinator role");
+            for seg in layout.split_range(shard, 0, bytes.len()) {
+                let data = &bytes[seg.data_addr..seg.data_addr + seg.len];
+                let delta = layout.code().rs().parity_delta(idx, seg.source, data);
+                let end = seg.parity_addr + seg.len;
+                want.resize(want.len().max(end), 0);
+                ring_erasure::Rs::apply_parity_delta(&mut want[seg.parity_addr..end], &delta);
+            }
+        }
+        assert_eq!(*len, want.len());
+        assert!(
+            region.read_padded(0, *len) == want,
+            "rebuilt parity differs"
+        );
+    }
+
+    #[test]
+    fn parity_rebuild_fetches_heaps_in_chunks_and_re_encodes_them() {
+        let mut rig = Rig::new();
+        let g = rig.g;
+        let coordinators = (0..rig.config.s).map(|i| rig.config.coordinator(g, i));
+        let coordinators: Vec<NodeId> = coordinators.collect();
+        let mut nodes: Vec<Node> = coordinators.iter().map(|&c| rig.node(c)).collect();
+        // Each heap spans three fetch chunks, the last one partial.
+        let lens: Vec<usize> = (0..nodes.len())
+            .map(|i| 2 * recovery::REBUILD_CHUNK + 1000 * (i + 1))
+            .collect();
+        fill_heaps(&mut nodes, g, SRS32, &lens);
+        let parity = rig.config.redundant(g, 0);
+        let mut p = rig.node(parity);
+        p.start_recovery();
+        nodes.push(p);
+        settle(&mut nodes);
+
+        let p = nodes.pop().expect("pushed");
+        assert!(p.rebuilds.is_empty(), "every rebuild completed");
+        assert!(p.next_spec_token >= 9, "3 shards x 3 chunks");
+        assert_re_encoded(&p, &nodes, g, SRS32);
+        for node in &nodes {
+            let coord = &node.groups[&g].coord[&SRS32];
+            assert!(coord.stalled.is_empty(), "{:?}", coord.stalled);
+        }
+    }
+
+    /// A put that reaches a stalled coordinator between its
+    /// `ParityRebuildInfo` and the parity's row reads leaves a placeholder
+    /// entry, which holds no heap bytes and is no hole: the rows are
+    /// served. Were they declined, SRS(2,1) — no donor to cover the shard
+    /// — would re-encode without it.
+    #[test]
+    fn a_put_stalled_between_info_and_row_reads_leaves_the_rows_served() {
+        const SRS21: MemgestId = 4;
+        let mut rig = Rig::new();
+        let g = rig.g;
+        let coordinators = (0..rig.config.s).map(|i| rig.config.coordinator(g, i));
+        let coordinators: Vec<NodeId> = coordinators.collect();
+        let mut nodes: Vec<Node> = coordinators.iter().map(|&c| rig.node(c)).collect();
+        fill_heaps(&mut nodes, g, SRS21, &[3000, 4000, 5000]);
+        let parity = rig.config.redundant(g, 0);
+        let mut p = rig.node(parity);
+        p.start_recovery();
+        for node in nodes.iter_mut() {
+            while let Ok(Some((from, msg))) = node.ep.try_recv() {
+                node.dispatch(from, msg); // Stalled; the Infos go out.
+            }
+        }
+        // Queued at the coordinator ahead of the parity's row reads.
+        rig.put(1, SRS21);
+        nodes.push(p);
+        settle(&mut nodes);
+
+        let p = nodes.pop().expect("pushed");
+        assert!(p.rebuilds.is_empty(), "every rebuild completed");
+        rig.expect_reply(1, ClientResp::PutOk { version: 1 });
+        assert_re_encoded(&p, &nodes, g, SRS21);
+    }
+
+    /// The retry tick re-issues only the rebuild reads that have gone
+    /// unanswered for a retry period, not the ones sent just before it.
+    #[test]
+    fn a_rebuild_retry_re_issues_only_stale_reads() {
+        let mut rig = Rig::new();
+        let g = rig.g;
+        let coordinators = (0..rig.config.s).map(|i| rig.config.coordinator(g, i));
+        let coordinators: Vec<NodeId> = coordinators.collect();
+        let mut nodes: Vec<Node> = coordinators.iter().map(|&c| rig.node(c)).collect();
+        fill_heaps(&mut nodes, g, SRS32, &[3000, 4000, 5000]);
+        let mut p = rig.node(rig.config.redundant(g, 0));
+        p.start_recovery();
+        for node in nodes.iter_mut() {
+            while let Ok(Some((from, msg))) = node.ep.try_recv() {
+                node.dispatch(from, msg);
+            }
+        }
+        while let Ok(Some((from, msg))) = p.ep.try_recv() {
+            p.dispatch(from, msg); // The Infos: one read per shard.
+        }
+        let tokens =
+            |p: &Node| -> Vec<u64> { p.rebuilds[&(g, SRS32)].reads.keys().copied().collect() };
+        let sent = tokens(&p);
+        assert_eq!(sent.len(), 3);
+
+        let now = ring_net::clock::now();
+        let rb = p.rebuilds.get_mut(&(g, SRS32)).expect("rebuilding");
+        rb.sent_at = now - Duration::from_secs(1); // The tick is due...
+        p.retry_rebuilds(now);
+        assert_eq!(tokens(&p), sent, "...but the reads are fresh");
+        p.retry_rebuilds(now + Duration::from_secs(1));
+        let resent = tokens(&p);
+        assert_eq!(resent.len(), 3);
+        assert!(
+            resent.iter().all(|t| !sent.contains(t)),
+            "stale reads re-issued"
+        );
+    }
+
+    /// Sends `msg` to the coordinator from each of `parities` in turn and
+    /// steps it once per message.
+    fn from_parities(node: &mut Node, rig: &Rig, parities: &[NodeId], msg: &Msg) {
+        for p in parities {
+            rig.eps[p]
+                .send(rig.coordinator, msg.clone())
+                .expect("link up");
+            step(node);
+        }
+    }
+
+    #[test]
+    fn puts_stay_stalled_until_every_rebuilding_parity_is_done() {
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        let (group, memgest) = (rig.g, SRS32);
+        let parities = rig.config.parity_targets(group, 2);
+        let start = Msg::ParityRebuildStart { group, memgest };
+        from_parities(&mut node, &rig, &parities, &start);
+
+        let done = Msg::ParityRebuildDone { group, memgest };
+        from_parities(&mut node, &rig, &parities[..1], &done);
+        rig.put(1, SRS32);
+        step(&mut node);
+        assert_eq!(
+            node.groups[&group].stalled[&SRS32].len(),
+            1,
+            "still stalled"
+        );
+        assert!(node.pending.is_empty(), "no parity delta went out");
+
+        from_parities(&mut node, &rig, &parities[1..], &done);
+        assert!(node.groups[&group].stalled.is_empty(), "flushed");
+        assert_eq!(node.pending.len(), 1, "the put is on its way");
+    }
+
+    #[test]
+    fn a_repeated_rebuild_info_leaves_out_stalled_puts() {
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        let (group, memgest) = (rig.g, SRS32);
+        let parity = rig.config.redundant(group, 0);
+        let start = Msg::ParityRebuildStart { group, memgest };
+        from_parities(&mut node, &rig, &[parity], &start);
+        rig.put(1, SRS32);
+        step(&mut node);
+        // The first Info was lost: the parity asks again.
+        from_parities(&mut node, &rig, &[parity], &start);
+        let mut infos = Vec::new();
+        while let Ok(Some((_, msg))) = rig.eps[&parity].try_recv() {
+            if let Msg::ParityRebuildInfo { entries, .. } = msg {
+                infos.push(entries);
+            }
+        }
+        assert_eq!(infos.len(), 2);
+        assert!(infos[1].is_empty(), "a stalled put shipped: {:?}", infos[1]);
+    }
+
+    #[test]
+    fn a_config_without_the_rebuilding_parity_unstalls_the_coordinator() {
+        let mut rig = Rig::new();
+        let mut node = rig.node(rig.coordinator);
+        let (group, memgest) = (rig.g, SRS32);
+        let parity = rig.config.redundant(group, 0);
+        let start = Msg::ParityRebuildStart { group, memgest };
+        from_parities(&mut node, &rig, &[parity], &start);
+        rig.put(1, SRS32);
+        step(&mut node);
+        assert_eq!(node.groups[&group].stalled[&SRS32].len(), 1);
+
+        // The parity died mid-rebuild: a spare took its place.
+        let mut config = rig.config.clone();
+        config.epoch += 1;
+        let pos = config.nodes.iter().position(|&n| n == parity);
+        config.nodes[pos.expect("active")] = 99;
+        let update = Msg::ConfigUpdate {
+            config,
+            memgests: Vec::new(),
+            default: REP1,
+        };
+        rig.leader.send(rig.coordinator, update).expect("link up");
+        step(&mut node);
+        assert!(node.groups[&group].stalled.is_empty(), "flushed");
+        assert_eq!(node.pending.len(), 1, "the put is on its way");
     }
 }

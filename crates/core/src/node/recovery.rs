@@ -2,14 +2,20 @@
 //! metadata on a promoted spare, and the parity-rebuild protocol
 //! (Section 5.5 and Figure 12's six recovery steps).
 
-use ring_net::{NodeId, Transport};
+use std::time::{Duration, Instant};
+
+use ring_net::{NodeId, Payload, Transport};
 
 use crate::config::Role;
 use crate::proto::{MetaEntry, Msg};
-use crate::storage::{data_mr_key, parity_mr_key, CoordStore, ObjectEntry, RedundantStore};
+use crate::storage::{CoordStore, ObjectEntry, RedundantStore};
 use crate::types::{GroupId, MemgestDescriptor, MemgestId, Scheme};
 
-use super::{Node, RebuildState};
+use super::{Node, RebuildInfo, RebuildState, RowRead};
+
+/// The most heap bytes one rebuild `ShardRead` asks for, which keeps its
+/// answer far below the TCP frame cap.
+pub(super) const REBUILD_CHUNK: usize = 1 << 20;
 
 impl<T: Transport<Msg>> Node<T> {
     /// Adopts a newer configuration. A freshly activated spare
@@ -45,12 +51,30 @@ impl<T: Transport<Msg>> Node<T> {
             // Survivor: in-flight fetches may have targeted the dead
             // node; clear the flags so the next get retries against the
             // new target.
-            for gs in self.groups.values_mut() {
-                for coord in gs.coord.values_mut() {
+            let mut stalled = Vec::new();
+            for (&g, gs) in self.groups.iter_mut() {
+                for (&mid, coord) in gs.coord.iter_mut() {
                     for (_, _, e) in coord.meta.iter_mut() {
                         e.fetching = false;
                     }
+                    if !coord.stalled.is_empty() {
+                        stalled.push((g, mid));
+                    }
                 }
+            }
+            // A parity that died mid-rebuild will never send its Done;
+            // its replacement stalls the puts afresh.
+            let nodes = self.config.nodes.clone();
+            for (g, mid) in stalled {
+                self.unstall(g, mid, |p| !nodes.contains(&p));
+            }
+            // Rows of a coordinator that left were read before its
+            // successor's puts: ask the successor instead.
+            for rb in self.rebuilds.values_mut() {
+                rb.infos.retain(|_, info| nodes.contains(&info.from));
+                let infos = &rb.infos;
+                rb.reads
+                    .retain(|_, r| r.donor.is_some() || infos.contains_key(&r.shard));
             }
             self.resend_uncommitted();
         }
@@ -160,6 +184,8 @@ impl<T: Transport<Msg>> Node<T> {
                                     RebuildState {
                                         infos: Default::default(),
                                         expected: self.config.s,
+                                        reads: Default::default(),
+                                        donor: None,
                                         sent_at: ring_net::clock::now(),
                                     },
                                 );
@@ -271,7 +297,7 @@ impl<T: Transport<Msg>> Node<T> {
         let Some(coord) = gs.coord.get_mut(&mid) else {
             return;
         };
-        coord.stalled = true;
+        coord.stalled.insert(from);
         if self.recovering > 0 {
             // Our own metadata recovery is still running, so the heap
             // frontier below would be wrong. Stall puts now but answer
@@ -279,23 +305,21 @@ impl<T: Transport<Msg>> Node<T> {
             // every 150ms.
             return;
         }
-        let mut data_valid = true;
+        // A stalled put is not in the heap yet: its metadata reaches the
+        // parity with its delta once the stall lifts. Shipped now, it
+        // would make the parity take that delta for a retransmission.
+        let queued = gs.stalled_puts(mid);
+        let coord = &gs.coord[&mid];
         let entries: Vec<MetaEntry> = coord
             .meta
             .iter()
-            .map(|(key, version, e)| {
-                if !e.data_present && !e.tombstone {
-                    // A hole from our own recovery: the heap bytes are
-                    // not trustworthy for re-encoding.
-                    data_valid = false;
-                }
-                MetaEntry {
-                    key,
-                    version,
-                    len: e.len,
-                    addr: e.addr,
-                    tombstone: e.tombstone,
-                }
+            .filter(|&(key, version, _)| !queued.contains(&(key, version)))
+            .map(|(key, version, e)| MetaEntry {
+                key,
+                version,
+                len: e.len,
+                addr: e.addr,
+                tombstone: e.tombstone,
             })
             .collect();
         let heap_len = match &coord.store {
@@ -309,39 +333,214 @@ impl<T: Transport<Msg>> Node<T> {
                 memgest: mid,
                 shard,
                 heap_len,
-                data_valid,
                 entries,
             },
         );
     }
 
-    /// Collects coordinator answers; once all `s` shards reported, the
-    /// parity heap is re-encoded from one-sided reads of their heaps.
+    /// Records a coordinator's answer, replacing an earlier one for its
+    /// shard, and fetches that shard's heap rows in `ShardRead` chunks.
     pub(crate) fn handle_parity_rebuild_info(
         &mut self,
+        from: NodeId,
         g: GroupId,
         mid: MemgestId,
         shard: usize,
         heap_len: usize,
-        data_valid: bool,
         entries: Vec<MetaEntry>,
     ) {
         let Some(rb) = self.rebuilds.get_mut(&(g, mid)) else {
             return;
         };
-        rb.infos.insert(
-            shard,
-            super::RebuildInfo {
-                heap_len,
-                data_valid,
-                entries,
-            },
-        );
-        if rb.infos.len() < rb.expected {
+        let info = RebuildInfo {
+            from,
+            heap_len,
+            entries,
+            rows: vec![0; heap_len],
+            invalid: false,
+        };
+        rb.infos.insert(shard, info);
+        rb.reads
+            .retain(|_, r| r.donor.is_none() && r.shard != shard);
+        rb.donor = None;
+        for start in (0..heap_len).step_by(REBUILD_CHUNK) {
+            let len = REBUILD_CHUNK.min(heap_len - start);
+            self.issue_rebuild_read(g, mid, shard, None, vec![(start, len)]);
+        }
+        self.advance_rebuild(g, mid);
+    }
+
+    /// Sends one rebuild read of `ranges` under a fresh token, to the
+    /// shard's current coordinator or to the donor parity.
+    fn issue_rebuild_read(
+        &mut self,
+        g: GroupId,
+        mid: MemgestId,
+        shard: usize,
+        donor: Option<usize>,
+        ranges: Vec<(usize, usize)>,
+    ) {
+        let token = self.next_spec_token;
+        self.next_spec_token += 1;
+        let to = match donor {
+            Some(q) => self.config.redundant(g, q),
+            None => self.config.coordinator(g, shard),
+        };
+        let msg = Msg::ShardRead {
+            group: g,
+            memgest: mid,
+            token,
+            parity: donor.is_some(),
+            ranges: ranges.clone(),
+        };
+        let _ = self.ep.send(to, msg);
+        if let Some(rb) = self.rebuilds.get_mut(&(g, mid)) {
+            let read = RowRead {
+                shard,
+                donor,
+                ranges,
+                declined: false,
+                sent_at: ring_net::clock::now(),
+            };
+            rb.reads.insert(token, read);
+        }
+    }
+
+    /// An answer to a rebuild read. Rows land at their addresses; a
+    /// coordinator's decline marks its shard invalid (a holey heap); a
+    /// donor's decline waits for the next retry.
+    pub(crate) fn handle_rebuild_rows(
+        &mut self,
+        g: GroupId,
+        mid: MemgestId,
+        token: u64,
+        bytes: Option<Payload>,
+    ) {
+        let Some(rb) = self.rebuilds.get_mut(&(g, mid)) else {
             return;
+        };
+        let Some(read) = rb.reads.get_mut(&token) else {
+            return; // A straggler of a re-issued or re-planned read.
+        };
+        let Some(bytes) = bytes else {
+            match read.donor {
+                Some(_) => read.declined = true,
+                None => {
+                    let shard = read.shard;
+                    rb.reads.retain(|_, r| r.shard != shard);
+                    if let Some(info) = rb.infos.get_mut(&shard) {
+                        info.invalid = true;
+                    }
+                }
+            }
+            self.advance_rebuild(g, mid);
+            return;
+        };
+        if bytes.len() != read.ranges.iter().map(|&(_, len)| len).sum::<usize>() {
+            return; // Malformed: left for the retry to re-issue.
+        }
+        let read = rb.reads.remove(&token).expect("looked up");
+        let rows = match read.donor {
+            Some(q) => &mut rb.donor.insert((q, Vec::new())).1,
+            None => &mut rb.infos.get_mut(&read.shard).expect("planned").rows,
+        };
+        let mut at = 0;
+        for &(addr, len) in &read.ranges {
+            if rows.len() < addr + len {
+                rows.resize(addr + len, 0);
+            }
+            rows[addr..addr + len].copy_from_slice(&bytes[at..at + len]);
+            at += len;
+        }
+        self.advance_rebuild(g, mid);
+    }
+
+    /// Re-encodes once every shard has answered and its rows are in. With
+    /// exactly one invalid shard, first fetches a donor parity's rows of
+    /// it (the missing shard's parity ranges).
+    fn advance_rebuild(&mut self, g: GroupId, mid: MemgestId) {
+        let Some(rb) = self.rebuilds.get(&(g, mid)) else {
+            return;
+        };
+        if rb.infos.len() < rb.expected || rb.reads.values().any(|r| r.donor.is_none()) {
+            return;
+        }
+        let mut invalid = rb.infos.iter().filter(|(_, info)| info.invalid);
+        if let (Some((&miss, info)), None) = (invalid.next(), invalid.next()) {
+            if rb.donor.is_none() {
+                if !rb.reads.is_empty() {
+                    return; // The donor read is in flight or declined.
+                }
+                if let Some(q) = self.next_donor(g, mid, None) {
+                    let store = self.groups.get(&g).and_then(|gs| gs.redundant.get(&mid));
+                    let Some(RedundantStore::Parity { layout, .. }) = store.map(|r| &r.store)
+                    else {
+                        return;
+                    };
+                    let ranges = (layout.split_range(miss, 0, info.heap_len).iter())
+                        .map(|seg| (seg.parity_addr, seg.len))
+                        .collect();
+                    self.issue_rebuild_read(g, mid, miss, Some(q), ranges);
+                    return;
+                }
+            }
         }
         let rb = self.rebuilds.remove(&(g, mid)).expect("present");
         self.perform_parity_rebuild(g, mid, rb);
+    }
+
+    /// The parity index after `after` (or the first) that is not this
+    /// node's: the next donor to ask.
+    fn next_donor(&self, g: GroupId, mid: MemgestId, after: Option<usize>) -> Option<usize> {
+        let Some(Scheme::Srs { m, .. }) = self.catalog.get(&mid).map(|d| d.scheme) else {
+            return None;
+        };
+        let me = self.groups.get(&g).and_then(|gs| gs.red_idx);
+        let start = after.map_or(0, |q| q + 1);
+        (start..start + m).map(|q| q % m).find(|&q| Some(q) != me)
+    }
+
+    /// The rebuilds' one retry, every 150 ms: re-sends
+    /// `ParityRebuildStart` to the current coordinator of every shard that
+    /// has not answered (a coordinator that left took its answer with it,
+    /// see `handle_config_update`), and re-issues every read that was
+    /// declined or has gone unanswered for 150 ms; a declined donor read
+    /// goes to the next donor.
+    pub(crate) fn retry_rebuilds(&mut self, now: Instant) {
+        const RETRY: Duration = Duration::from_millis(150);
+        let due: Vec<(GroupId, MemgestId)> = (self.rebuilds.iter())
+            .filter(|(_, rb)| now.duration_since(rb.sent_at) >= RETRY)
+            .map(|(&k, _)| k)
+            .collect();
+        for (g, mid) in due {
+            let rb = self.rebuilds.get_mut(&(g, mid)).expect("due");
+            rb.sent_at = now;
+            let missing: Vec<usize> = (0..rb.expected)
+                .filter(|s| !rb.infos.contains_key(s))
+                .collect();
+            let stale: Vec<RowRead> = (rb.reads)
+                .extract_if(.., |_, r| {
+                    r.declined || now.duration_since(r.sent_at) >= RETRY
+                })
+                .map(|(_, r)| r)
+                .collect();
+            for shard in missing {
+                let start = Msg::ParityRebuildStart {
+                    group: g,
+                    memgest: mid,
+                };
+                let _ = self.ep.send(self.config.coordinator(g, shard), start);
+            }
+            for read in stale {
+                let donor = if read.declined {
+                    self.next_donor(g, mid, read.donor)
+                } else {
+                    read.donor
+                };
+                self.issue_rebuild_read(g, mid, read.shard, donor, read.ranges);
+            }
+            self.advance_rebuild(g, mid);
+        }
     }
 
     fn perform_parity_rebuild(&mut self, g: GroupId, mid: MemgestId, rb: RebuildState) {
@@ -352,66 +551,17 @@ impl<T: Transport<Msg>> Node<T> {
             .and_then(|gs| gs.red_idx)
             .unwrap_or(usize::MAX);
 
-        // Read every *valid* coordinator heap (one-sided) for re-encode.
-        // Shards whose coordinator is itself recovering (holey heap) are
-        // reconstructed from a surviving parity instead.
+        // Re-encode every valid coordinator heap. A shard whose
+        // coordinator declined (holey heap) is reconstructed from the
+        // donor parity instead.
         let s = self.config.s;
-        let mut reads: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut reads: Vec<(usize, &[u8])> = Vec::new();
         let mut invalid: Vec<(usize, usize)> = Vec::new();
-        let mut max_heap = 0usize;
-        for shard in 0..s {
-            let Some(info) = rb.infos.get(&shard) else {
-                continue;
-            };
-            max_heap = max_heap.max(info.heap_len);
-            if info.heap_len == 0 {
-                continue;
-            }
-            if info.data_valid {
-                let node = self.config.coordinator(g, shard);
-                if let Ok(bytes) = self
-                    .ep
-                    .rdma_read(node, data_mr_key(g, mid), 0, info.heap_len)
-                {
-                    reads.push((shard, bytes));
-                } else {
-                    invalid.push((shard, info.heap_len));
-                }
-            } else {
+        for (&shard, info) in &rb.infos {
+            if info.invalid {
                 invalid.push((shard, info.heap_len));
-            }
-        }
-
-        // For a single invalid shard, fetch a surviving parity heap: its
-        // bytes minus the valid shards' contributions isolate the
-        // missing shard's coded contribution.
-        let m = self
-            .catalog
-            .get(&mid)
-            .map(|d| match d.scheme {
-                Scheme::Srs { m, .. } => m,
-                Scheme::Rep { .. } => 0,
-            })
-            .unwrap_or(0);
-        let mut donor: Option<(usize, Vec<u8>)> = None;
-        if invalid.len() == 1 {
-            let tmp_len = {
-                // parity_len_for needs the layout; compute below once the
-                // store is borrowed. Use a conservative bound here.
-                max_heap * 2
-            };
-            for q in 0..m {
-                if q == my_idx {
-                    continue;
-                }
-                let node = self.config.redundant(g, q);
-                if let Ok(bytes) = self
-                    .ep
-                    .rdma_read_padded(node, parity_mr_key(g, mid), 0, tmp_len)
-                {
-                    donor = Some((q, bytes));
-                    break;
-                }
+            } else if info.heap_len > 0 {
+                reads.push((shard, &info.rows));
             }
         }
 
@@ -443,7 +593,7 @@ impl<T: Transport<Msg>> Node<T> {
                 }
             }
 
-            if let (Some((q, q_bytes)), [(miss_shard, miss_len)]) = (donor, invalid.as_slice()) {
+            if let (Some((q, q_bytes)), [(miss_shard, miss_len)]) = (rb.donor, invalid.as_slice()) {
                 // tmp = P_q XOR sum_valid g_q,j D_j = g_q,src * D_missing
                 // on the missing shard's parity ranges, zero elsewhere.
                 let mut tmp = q_bytes;
@@ -511,7 +661,7 @@ impl<T: Transport<Msg>> Node<T> {
 
     /// A rebuilt parity node is consistent with this coordinator's heap,
     /// so it implicitly acknowledges every in-flight SRS put of the
-    /// memgest; afterwards the stalled queue drains.
+    /// memgest; the stalled queue drains once no other rebuild stalls it.
     pub(crate) fn handle_parity_rebuild_done(&mut self, from: NodeId, g: GroupId, mid: MemgestId) {
         let keys: Vec<super::PendingKey> = self
             .pending
@@ -522,6 +672,6 @@ impl<T: Transport<Msg>> Node<T> {
         for (pg, pm, key, version) in keys {
             self.handle_ack(from, pg, pm, key, version);
         }
-        self.flush_stalled(g, mid);
+        self.unstall(g, mid, |p| p == from);
     }
 }

@@ -257,7 +257,8 @@ impl<T: Transport<Msg>> Node<T> {
     /// Raw heap bytes of a coordinator peer. Declined while this node is
     /// itself recovering or its heap has holes (metadata-only entries
     /// whose bytes were never re-decoded): zero-filled holes would decode
-    /// to garbage on the requester.
+    /// to garbage on the requester. A stalled put's placeholder is no
+    /// hole: its bytes are not in the heap yet.
     fn serve_data_shard_read(
         &self,
         g: GroupId,
@@ -270,10 +271,9 @@ impl<T: Transport<Msg>> Node<T> {
         let gs = self.groups.get(&g)?;
         gs.shard?;
         let coord = gs.coord.get(&mid)?;
-        let holey = coord
-            .meta
-            .iter()
-            .any(|(_, _, e)| !e.data_present && !e.tombstone);
+        let queued = gs.stalled_puts(mid);
+        let holey = (coord.meta.iter())
+            .any(|(k, v, e)| !e.data_present && !e.tombstone && !queued.contains(&(k, v)));
         if holey {
             return None;
         }

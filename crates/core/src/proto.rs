@@ -382,12 +382,6 @@ pub enum Msg {
         shard: usize,
         /// Current heap length of that coordinator.
         heap_len: usize,
-        /// True if the coordinator's heap bytes are fully materialised;
-        /// false while the coordinator is itself recovering (its heap
-        /// still has holes), in which case the rebuilding parity must
-        /// reconstruct this shard's contribution from a surviving
-        /// parity instead of re-encoding from the heap.
-        data_valid: bool,
         /// The shard's metadata entries.
         entries: Vec<MetaEntry>,
     },

@@ -9,13 +9,13 @@
 //! replicated — it is reconstructed from the memgests' metadata tables
 //! after failures.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ring_erasure::SrsLayout;
-use ring_net::{MemoryRegion, Payload};
+use ring_net::{MemoryRegion, NodeId, Payload};
 
 use crate::proto::ClientTag;
-use crate::types::{GroupId, Key, MemgestDescriptor, MemgestId, Version};
+use crate::types::{Key, MemgestDescriptor, MemgestId, Version};
 
 /// A request parked until its target version commits (Figure 5).
 #[derive(Debug, Clone, PartialEq)]
@@ -254,8 +254,7 @@ impl VolatileTable {
     }
 }
 
-/// A bump-allocated, RDMA-registered heap backing an SRS memgest on a
-/// data node.
+/// A bump-allocated heap backing an SRS memgest on a data node.
 ///
 /// Allocations are append-only: every `(key, version)` gets a fresh
 /// range, so parity deltas are always computed against known-zero or
@@ -277,7 +276,7 @@ impl Heap {
         }
     }
 
-    /// The RDMA-registerable region backing the heap.
+    /// The region backing the heap.
     pub fn region(&self) -> &MemoryRegion {
         &self.region
     }
@@ -335,6 +334,18 @@ impl Heap {
         delta
     }
 
+    /// Writes bytes at `addr` without computing a delta: into fresh
+    /// (zeroed) space, or over a hole being recovered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range lies beyond the region.
+    pub fn write(&mut self, addr: usize, bytes: &[u8]) {
+        self.region
+            .write(addr, bytes)
+            .expect("allocated range is in bounds");
+    }
+
     /// Reads `len` bytes at `addr`.
     ///
     /// # Panics
@@ -357,8 +368,9 @@ pub struct CoordMemgest {
     pub meta: MetaTable,
     /// The data store.
     pub store: CoordStore,
-    /// Puts stalled while a new parity node rebuilds (SRS only).
-    pub stalled: bool,
+    /// The rebuilding parity nodes that SRS puts are stalled for; puts
+    /// flow only while it is empty.
+    pub stalled: BTreeSet<NodeId>,
 }
 
 impl CoordMemgest {
@@ -381,7 +393,7 @@ pub enum CoordStore {
         /// replication fan-out and response cache).
         values: HashMap<(Key, Version), Payload>,
     },
-    /// SRS memgests store values in an RDMA-registered heap with the
+    /// SRS memgests store values in a bump-allocated heap with the
     /// stretched-code address arithmetic alongside.
     Srs {
         /// The heap.
@@ -429,23 +441,13 @@ pub enum RedundantStore {
     },
     /// A parity heap region covering the coordinators' data heaps.
     Parity {
-        /// The parity bytes (RDMA-registered).
+        /// The parity bytes.
         region: MemoryRegion,
         /// High-water mark of applied parity addresses.
         len: usize,
         /// Address arithmetic for decode and rebuild.
         layout: SrsLayout,
     },
-}
-
-/// RDMA region key for a coordinator's data heap of `(group, memgest)`.
-pub fn data_mr_key(group: GroupId, memgest: MemgestId) -> u64 {
-    1 << 63 | (group as u64) << 32 | memgest as u64
-}
-
-/// RDMA region key for a parity node's parity heap of `(group, memgest)`.
-pub fn parity_mr_key(group: GroupId, memgest: MemgestId) -> u64 {
-    1 << 62 | (group as u64) << 32 | memgest as u64
 }
 
 #[cfg(test)]
@@ -554,13 +556,6 @@ mod tests {
     fn heap_unallocated_read_panics() {
         let h = Heap::new(64);
         let _ = h.read(0, 1);
-    }
-
-    #[test]
-    fn mr_keys_are_disjoint() {
-        assert_ne!(data_mr_key(0, 1), parity_mr_key(0, 1));
-        assert_ne!(data_mr_key(0, 1), data_mr_key(1, 1));
-        assert_ne!(data_mr_key(0, 1), data_mr_key(0, 2));
     }
 
     #[test]

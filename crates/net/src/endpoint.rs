@@ -10,11 +10,9 @@ use std::time::Duration;
 
 use crate::fabric::{FabricInner, NodeSlot};
 use crate::fault::FaultAction;
-use crate::latency::spin_wait;
-use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, Transport, WireSize};
+use crate::{NetError, NetStats, NodeId, Transport, WireSize};
 
-/// A registered node's endpoint: two-sided messaging, and through its
-/// [`Transport`] impl memory-region registration and one-sided reads.
+/// A registered node's endpoint: two-sided messaging.
 pub struct Endpoint<M> {
     id: NodeId,
     slot: Arc<NodeSlot<M>>,
@@ -93,31 +91,6 @@ impl<M: Send + WireSize> Endpoint<M> {
     pub fn queued(&self) -> usize {
         self.slot.mailbox.len()
     }
-
-    /// A one-sided read of `node`'s region `key`: `read` runs on the
-    /// region after the round trip of `len` bytes. The caller pays the
-    /// latency; the remote CPU is not involved.
-    fn read_remote(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        len: usize,
-        read: impl FnOnce(&MemoryRegion) -> Result<Vec<u8>, NetError>,
-    ) -> Result<Vec<u8>, NetError> {
-        if !self.fabric.link_up(self.id, node) {
-            return Err(NetError::Unreachable(node));
-        }
-        let slot = self.fabric.slot(node).ok_or(NetError::Unreachable(node))?;
-        if slot.mailbox.is_closed() {
-            return Err(NetError::Unreachable(node));
-        }
-        let region = slot.regions.read().get(&key).cloned();
-        let region = region.ok_or(NetError::UnknownRegion { node, key })?;
-        spin_wait(self.fabric.latency.round_trip(len));
-        let out = read(&region)?;
-        self.slot.stats.record_rdma_read(len);
-        Ok(out)
-    }
 }
 
 impl<M: Send + WireSize + Clone> Endpoint<M> {
@@ -183,34 +156,6 @@ impl<M: Send + WireSize + Clone> Transport<M> for Endpoint<M> {
     fn try_recv(&self) -> Result<Option<(NodeId, M)>, NetError> {
         Endpoint::try_recv(self)
     }
-
-    fn register_region(&self, key: MrKey, region: MemoryRegion) {
-        self.slot.regions.write().insert(key, region);
-    }
-
-    fn deregister_region(&self, key: MrKey) {
-        self.slot.regions.write().remove(&key);
-    }
-
-    fn rdma_read(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        self.read_remote(node, key, len, |region| region.read(offset, len))
-    }
-
-    fn rdma_read_padded(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        self.read_remote(node, key, len, |region| Ok(region.read_padded(offset, len)))
-    }
 }
 
 #[cfg(test)]
@@ -249,59 +194,6 @@ mod tests {
         assert_eq!(
             c.recv_timeout(Duration::from_secs(1)).unwrap().1,
             Msg(vec![9])
-        );
-    }
-
-    #[test]
-    fn rdma_read_write_round_trip() {
-        let (_f, a, b) = pair();
-        let region = MemoryRegion::new(64);
-        b.register_region(7, region.clone());
-        // The owner writes through its own handle; a peer reads the same
-        // bytes one-sided.
-        region.write(8, &[1, 2, 3]).unwrap();
-        region.write(62, &[4, 5]).unwrap();
-        assert_eq!(a.rdma_read(1, 7, 8, 3).unwrap(), vec![1, 2, 3]);
-        assert_eq!(a.rdma_read_padded(1, 7, 62, 4).unwrap(), vec![4, 5, 0, 0]);
-        assert!(matches!(
-            a.rdma_read(1, 7, 62, 4),
-            Err(NetError::OutOfBounds { region: 64, .. })
-        ));
-    }
-
-    #[test]
-    fn rdma_unknown_region_and_node() {
-        let (_f, a, b) = pair();
-        assert_eq!(
-            a.rdma_read(1, 99, 0, 1).unwrap_err(),
-            NetError::UnknownRegion { node: 1, key: 99 }
-        );
-        assert_eq!(
-            a.rdma_read(55, 0, 0, 1).unwrap_err(),
-            NetError::Unreachable(55)
-        );
-        drop(b);
-    }
-
-    #[test]
-    fn rdma_to_killed_node_unreachable() {
-        let (f, a, b) = pair();
-        b.register_region(1, MemoryRegion::new(8));
-        f.kill(1);
-        assert_eq!(
-            a.rdma_read(1, 1, 0, 1).unwrap_err(),
-            NetError::Unreachable(1)
-        );
-    }
-
-    #[test]
-    fn rdma_over_cut_link_unreachable() {
-        let (f, a, b) = pair();
-        b.register_region(1, MemoryRegion::new(8));
-        f.fail_link(0, 1);
-        assert_eq!(
-            a.rdma_read_padded(1, 1, 0, 1).unwrap_err(),
-            NetError::Unreachable(1)
         );
     }
 
@@ -374,19 +266,13 @@ mod tests {
     #[test]
     fn stats_track_traffic() {
         let (_f, a, b) = pair();
-        b.register_region(1, MemoryRegion::new(16));
         a.send(1, Msg(vec![0; 10])).unwrap();
         b.recv_timeout(Duration::from_secs(1)).unwrap();
-        a.rdma_read(1, 1, 0, 4).unwrap();
-        a.rdma_read_padded(1, 1, 14, 4).unwrap();
-        a.rdma_read(1, 1, 14, 4).unwrap_err(); // A failed read is not counted.
         let sa = a.stats().snapshot();
         assert_eq!(sa.msgs_sent, 1);
         assert_eq!(sa.bytes_sent, 10);
-        assert_eq!(sa.rdma_reads, 2);
-        assert_eq!(sa.rdma_read_bytes, 8);
         let sb = b.stats().snapshot();
         assert_eq!(sb.msgs_received, 1);
-        assert_eq!(sb.rdma_reads, 0, "the target's CPU is not involved");
+        assert_eq!(sb.bytes_received, 10);
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::NodeId;
 
-/// Errors produced by fabric registration, messaging and one-sided verbs.
+/// Errors produced by fabric registration, messaging and region access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// The target node was never registered or has been killed.
@@ -15,14 +15,7 @@ pub enum NetError {
     Timeout,
     /// The local endpoint has been shut down.
     Closed,
-    /// One-sided access referenced an unknown memory region key.
-    UnknownRegion {
-        /// The node the access targeted.
-        node: NodeId,
-        /// The unknown key.
-        key: u64,
-    },
-    /// One-sided access fell outside the registered region bounds.
+    /// A region access fell outside the region's bounds.
     OutOfBounds {
         /// Requested offset.
         offset: usize,
@@ -45,9 +38,6 @@ impl fmt::Display for NetError {
             NetError::AlreadyRegistered(n) => write!(f, "node {n} already registered"),
             NetError::Timeout => write!(f, "receive timed out"),
             NetError::Closed => write!(f, "endpoint closed"),
-            NetError::UnknownRegion { node, key } => {
-                write!(f, "unknown memory region {key} on node {node}")
-            }
             NetError::OutOfBounds {
                 offset,
                 len,

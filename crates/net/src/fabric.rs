@@ -1,6 +1,6 @@
 //! The fabric: node registry, delivery, failure injection.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -8,11 +8,10 @@ use parking_lot::RwLock;
 use crate::endpoint::Endpoint;
 use crate::fault::FaultInjector;
 use crate::mailbox::Mailbox;
-use crate::{LatencyModel, MemoryRegion, MrKey, NetError, NetStats, NodeId, WireSize};
+use crate::{LatencyModel, NetError, NetStats, NodeId, WireSize};
 
 pub(crate) struct NodeSlot<M> {
     pub(crate) mailbox: Arc<Mailbox<M>>,
-    pub(crate) regions: RwLock<HashMap<MrKey, MemoryRegion>>,
     pub(crate) stats: Arc<NetStats>,
 }
 
@@ -77,7 +76,6 @@ impl<M: Send + WireSize> Fabric<M> {
     pub fn register(&self, id: NodeId) -> Result<Endpoint<M>, NetError> {
         let slot = Arc::new(NodeSlot {
             mailbox: Mailbox::new(),
-            regions: RwLock::new(HashMap::new()),
             stats: Arc::new(NetStats::default()),
         });
         let mut nodes = self.inner.nodes.write();
@@ -92,7 +90,7 @@ impl<M: Send + WireSize> Fabric<M> {
     }
 
     /// Kills a node: its mailbox closes (pending and future messages are
-    /// dropped) and its memory regions become unreachable.
+    /// dropped).
     ///
     /// Idempotent; killing an unknown node is a no-op.
     pub fn kill(&self, id: NodeId) {
@@ -115,7 +113,7 @@ impl<M: Send + WireSize> Fabric<M> {
     /// Installs a message-level [`FaultInjector`], replacing any
     /// previous one. It is consulted on every [`Endpoint::send`] (a
     /// multicast is one per target) over an up link to a live node;
-    /// one-sided RDMA verbs and [`Fabric::inject`] bypass it.
+    /// [`Fabric::inject`] bypasses it.
     pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
         *self.inner.injector.write() = Some(injector);
     }
@@ -126,8 +124,8 @@ impl<M: Send + WireSize> Fabric<M> {
         *self.inner.injector.write() = None;
     }
 
-    /// Cuts the (bidirectional) link between two nodes: messages are
-    /// dropped, one-sided ops fail with [`NetError::Unreachable`].
+    /// Cuts the (bidirectional) link between two nodes: messages over it
+    /// are dropped.
     pub fn fail_link(&self, a: NodeId, b: NodeId) {
         self.inner.down_links.write().insert((a.min(b), a.max(b)));
     }

@@ -39,8 +39,7 @@ pub const FRAME_HEADER_LEN: usize = 8;
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// What a frame carries. Application messages are opaque codec bodies;
-/// the remaining kinds implement the transport's internal handshake and
-/// the one-sided read emulation used by recovery.
+/// `Hello` is the transport's one internal frame, its handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -48,10 +47,8 @@ pub enum FrameKind {
     App = 0,
     /// Connection handshake: the sender's node id.
     Hello = 1,
-    /// One-sided read request.
-    RdmaReadReq = 2,
-    /// One-sided read response.
-    RdmaReadResp = 3,
+    // 2 and 3 were the one-sided read request and response; retired,
+    // never to be reused.
 }
 
 impl FrameKind {
@@ -59,8 +56,6 @@ impl FrameKind {
         Some(match b {
             0 => FrameKind::App,
             1 => FrameKind::Hello,
-            2 => FrameKind::RdmaReadReq,
-            3 => FrameKind::RdmaReadResp,
             _ => return None,
         })
     }
@@ -415,13 +410,6 @@ impl<'a> WireReader<'a> {
         ]))
     }
 
-    /// Consumes and returns everything left.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let out = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        out
-    }
-
     /// Asserts the body was fully consumed.
     ///
     /// # Errors
@@ -465,8 +453,8 @@ mod tests {
     fn header_round_trip() {
         let h = pack_header(FrameKind::App, 1234);
         assert_eq!(parse_header(&h).unwrap(), (FrameKind::App, 1234));
-        let h = pack_header(FrameKind::RdmaReadResp, 0);
-        assert_eq!(parse_header(&h).unwrap(), (FrameKind::RdmaReadResp, 0));
+        let h = pack_header(FrameKind::Hello, 0);
+        assert_eq!(parse_header(&h).unwrap(), (FrameKind::Hello, 0));
     }
 
     #[test]
@@ -477,9 +465,12 @@ mod tests {
         let mut h = pack_header(FrameKind::App, 4);
         h[2] = 99;
         assert!(matches!(parse_header(&h), Err(NetError::BadFrame(_))));
-        let mut h = pack_header(FrameKind::App, 4);
-        h[3] = 200;
-        assert!(matches!(parse_header(&h), Err(NetError::BadFrame(_))));
+        // Kinds 2 and 3 are retired (the one-sided read frames).
+        for kind in [2, 3, 200, 255] {
+            let mut h = pack_header(FrameKind::App, 4);
+            h[3] = kind;
+            assert!(matches!(parse_header(&h), Err(NetError::BadFrame(_))));
+        }
         let mut h = pack_header(FrameKind::App, 4);
         h[4..8].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert!(matches!(parse_header(&h), Err(NetError::BadFrame(_))));
@@ -550,11 +541,11 @@ mod tests {
         let mut small = FrameBuf::new();
         small.put_u8(1);
         let mut bytes = small.to_frame_bytes(FrameKind::App);
-        bytes.extend(big.to_frame_bytes(FrameKind::RdmaReadResp));
+        bytes.extend(big.to_frame_bytes(FrameKind::Hello));
         bytes.extend(small.to_frame_bytes(FrameKind::App));
         let got = frames(&bytes).unwrap();
         assert_eq!(got.len(), 3);
-        assert_eq!(got[1].0, FrameKind::RdmaReadResp);
+        assert_eq!(got[1].0, FrameKind::Hello);
         assert_eq!(got[1].1, vec![7u8; 3 * READ_BUF_LEN]);
         assert_eq!(got[2], (FrameKind::App, vec![1]));
 
@@ -572,7 +563,7 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 1);
         assert_eq!(r.u32().unwrap(), 2);
         assert!(r.u64().is_err(), "only one byte left");
-        assert_eq!(r.rest(), &[9]);
+        assert_eq!(r.u8().unwrap(), 9);
         assert!(r.finish().is_ok());
         let mut r = WireReader::new(&[1, 2]);
         r.u8().unwrap();

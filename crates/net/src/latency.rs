@@ -63,12 +63,6 @@ impl LatencyModel {
     pub fn delay(&self, bytes: usize) -> Duration {
         self.base + Duration::from_nanos(self.per_byte_ns.saturating_mul(bytes as u64))
     }
-
-    /// The round-trip delay for a one-sided operation moving `bytes`
-    /// bytes (request hop + payload-bearing hop).
-    pub fn round_trip(&self, bytes: usize) -> Duration {
-        self.base + self.delay(bytes)
-    }
 }
 
 /// Waits for `d`, spinning for short waits and sleeping for long ones.
@@ -102,7 +96,6 @@ mod tests {
         };
         assert_eq!(m.delay(0), Duration::from_nanos(1000));
         assert_eq!(m.delay(500), Duration::from_nanos(2000));
-        assert_eq!(m.round_trip(500), Duration::from_nanos(3000));
     }
 
     #[test]

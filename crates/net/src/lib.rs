@@ -7,17 +7,16 @@
 //! - **Two-sided messaging** ([`Endpoint::send`] / [`Endpoint::recv`]):
 //!   typed messages delivered through a timestamp-ordered mailbox, with a
 //!   per-fabric [`LatencyModel`] injecting calibrated wire + NIC delays.
-//! - **One-sided reads** ([`Transport::rdma_read`] /
-//!   [`Transport::rdma_read_padded`]): direct access to a remote node's
-//!   registered [`MemoryRegion`]s without involving the remote CPU — the
-//!   caller pays the round-trip latency, the target thread is never
-//!   scheduled, mirroring real RDMA semantics.
-//! - **Failure injection** ([`Fabric::kill`]): a killed node's mailbox and
-//!   memory regions vanish; messages sent to it are silently dropped (the
-//!   sender must rely on timeouts, as on a real network) and one-sided
-//!   ops report [`NetError::Unreachable`].
+//! - **Failure injection** ([`Fabric::kill`]): a killed node's mailbox
+//!   vanishes; messages sent to it are silently dropped (the sender must
+//!   rely on timeouts, as on a real network).
 //! - **Traffic statistics** ([`Endpoint::stats`]): message/byte counters
 //!   used by the benchmark harness to report network load.
+//!
+//! [`Transport`] is the same two-sided messaging over either backend,
+//! this fabric or [`TcpTransport`]; nothing reads a peer's memory
+//! directly. A [`MemoryRegion`] is the byte buffer behind a heap, owned
+//! by its node and served to peers only through messages.
 //!
 //! Sub-microsecond delays are implemented by spin-waiting, which is
 //! faithful to how RDMA completion queues are actually polled
@@ -62,7 +61,7 @@ pub use fabric::Fabric;
 pub use fault::{FaultAction, FaultInjector, NoFaults};
 pub use frame::{Codec, FrameBuf, FrameKind, WireReader};
 pub use latency::{spin_wait, LatencyModel};
-pub use memory::{MemoryRegion, MrKey};
+pub use memory::MemoryRegion;
 pub use payload::Payload;
 pub use stats::{NetStats, NetStatsSnapshot};
 pub use tcp::TcpTransport;

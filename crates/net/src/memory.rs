@@ -1,23 +1,12 @@
-//! Registered memory regions for one-sided verbs.
-
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+//! Byte regions backing the data and parity heaps.
 
 use crate::NetError;
 
-/// Key identifying a registered memory region on a node (the `rkey` of
-/// RDMA verbs).
-pub type MrKey = u64;
-
-/// A registered memory region.
-///
-/// The owner keeps a handle for local access; remote endpoints read the
-/// same bytes through [`Transport::rdma_read`](crate::Transport::rdma_read)
-/// without involving the owner's thread.
-#[derive(Clone)]
+/// A zero-initialised, growable byte region owned by one node: the
+/// backing store of a data or parity heap. Peers never touch it; they
+/// ask its owner for bytes with a message.
 pub struct MemoryRegion {
-    data: Arc<RwLock<Vec<u8>>>,
+    data: Vec<u8>,
 }
 
 impl std::fmt::Debug for MemoryRegion {
@@ -30,13 +19,13 @@ impl MemoryRegion {
     /// Allocates a zeroed region of `len` bytes.
     pub fn new(len: usize) -> MemoryRegion {
         MemoryRegion {
-            data: Arc::new(RwLock::new(vec![0u8; len])),
+            data: vec![0u8; len],
         }
     }
 
     /// Region size in bytes.
     pub fn len(&self) -> usize {
-        self.data.read().len()
+        self.data.len()
     }
 
     /// Returns true if the region is empty.
@@ -45,10 +34,9 @@ impl MemoryRegion {
     }
 
     /// Grows the region to `new_len` bytes (no-op if already larger).
-    pub fn grow(&self, new_len: usize) {
-        let mut d = self.data.write();
-        if d.len() < new_len {
-            d.resize(new_len, 0);
+    pub fn grow(&mut self, new_len: usize) {
+        if self.data.len() < new_len {
+            self.data.resize(new_len, 0);
         }
     }
 
@@ -58,7 +46,7 @@ impl MemoryRegion {
     ///
     /// Returns [`NetError::OutOfBounds`] if the range exceeds the region.
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>, NetError> {
-        let d = self.data.read();
+        let d = &self.data;
         let end = offset.checked_add(len).ok_or(NetError::OutOfBounds {
             offset,
             len,
@@ -78,7 +66,7 @@ impl MemoryRegion {
     /// regions grow lazily, and unwritten bytes are zero by definition.
     /// The one place that padding rule is written.
     pub fn read_padded(&self, offset: usize, len: usize) -> Vec<u8> {
-        let d = self.data.read();
+        let d = &self.data;
         let start = offset.min(d.len());
         let end = offset.saturating_add(len).min(d.len());
         let mut out = vec![0u8; len];
@@ -91,8 +79,8 @@ impl MemoryRegion {
     /// # Errors
     ///
     /// Returns [`NetError::OutOfBounds`] if the range exceeds the region.
-    pub fn write(&self, offset: usize, bytes: &[u8]) -> Result<(), NetError> {
-        let mut d = self.data.write();
+    pub fn write(&mut self, offset: usize, bytes: &[u8]) -> Result<(), NetError> {
+        let d = &mut self.data;
         let end = offset
             .checked_add(bytes.len())
             .ok_or(NetError::OutOfBounds {
@@ -116,8 +104,8 @@ impl MemoryRegion {
     /// # Errors
     ///
     /// Returns [`NetError::OutOfBounds`] if the range exceeds the region.
-    pub fn xor(&self, offset: usize, bytes: &[u8]) -> Result<(), NetError> {
-        let mut d = self.data.write();
+    pub fn xor(&mut self, offset: usize, bytes: &[u8]) -> Result<(), NetError> {
+        let d = &mut self.data;
         let end = offset
             .checked_add(bytes.len())
             .ok_or(NetError::OutOfBounds {
@@ -154,7 +142,7 @@ mod tests {
 
     #[test]
     fn read_write_round_trip() {
-        let mr = MemoryRegion::new(16);
+        let mut mr = MemoryRegion::new(16);
         mr.write(4, &[1, 2, 3]).unwrap();
         assert_eq!(mr.read(4, 3).unwrap(), vec![1, 2, 3]);
         assert_eq!(mr.read(3, 2).unwrap(), vec![0, 1]);
@@ -162,7 +150,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rejected() {
-        let mr = MemoryRegion::new(8);
+        let mut mr = MemoryRegion::new(8);
         assert!(matches!(mr.read(7, 2), Err(NetError::OutOfBounds { .. })));
         assert!(matches!(
             mr.write(8, &[1]),
@@ -182,7 +170,7 @@ mod tests {
 
     #[test]
     fn xor_accumulates() {
-        let mr = MemoryRegion::new(4);
+        let mut mr = MemoryRegion::new(4);
         mr.xor(0, &[0b1010, 0b0001]).unwrap();
         mr.xor(0, &[0b0110, 0b0001]).unwrap();
         assert_eq!(mr.read(0, 2).unwrap(), vec![0b1100, 0]);
@@ -190,19 +178,11 @@ mod tests {
 
     #[test]
     fn grow_preserves_contents() {
-        let mr = MemoryRegion::new(2);
+        let mut mr = MemoryRegion::new(2);
         mr.write(0, &[9, 9]).unwrap();
         mr.grow(4);
         assert_eq!(mr.read(0, 4).unwrap(), vec![9, 9, 0, 0]);
         mr.grow(2); // No shrink.
         assert_eq!(mr.len(), 4);
-    }
-
-    #[test]
-    fn clones_share_storage() {
-        let a = MemoryRegion::new(4);
-        let b = a.clone();
-        a.write(0, &[42]).unwrap();
-        assert_eq!(b.read(0, 1).unwrap(), vec![42]);
     }
 }

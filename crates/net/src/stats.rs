@@ -20,8 +20,6 @@ pub struct NetStats {
     msgs_received: AtomicU64,
     bytes_received: AtomicU64,
     retransmits: AtomicU64,
-    rdma_reads: AtomicU64,
-    rdma_read_bytes: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -40,10 +38,6 @@ pub struct NetStatsSnapshot {
     /// through [`NetStats::record_retransmit`], so the semantics are
     /// identical on every backend.
     pub retransmits: u64,
-    /// One-sided reads issued.
-    pub rdma_reads: u64,
-    /// Bytes fetched by one-sided reads.
-    pub rdma_read_bytes: u64,
 }
 
 impl NetStats {
@@ -67,12 +61,6 @@ impl NetStats {
         self.retransmits.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_rdma_read(&self, bytes: usize) {
-        self.rdma_reads.fetch_add(1, Ordering::Relaxed);
-        self.rdma_read_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> NetStatsSnapshot {
         NetStatsSnapshot {
@@ -81,8 +69,6 @@ impl NetStats {
             msgs_received: self.msgs_received.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
-            rdma_reads: self.rdma_reads.load(Ordering::Relaxed),
-            rdma_read_bytes: self.rdma_read_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -98,14 +84,11 @@ mod tests {
         s.record_send(20);
         s.record_recv(10);
         s.record_retransmit();
-        s.record_rdma_read(100);
         let snap = s.snapshot();
         assert_eq!(snap.msgs_sent, 2);
         assert_eq!(snap.bytes_sent, 30);
         assert_eq!(snap.msgs_received, 1);
         assert_eq!(snap.bytes_received, 10);
         assert_eq!(snap.retransmits, 1);
-        assert_eq!(snap.rdma_reads, 1);
-        assert_eq!(snap.rdma_read_bytes, 100);
     }
 }

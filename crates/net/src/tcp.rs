@@ -13,13 +13,9 @@
 //!   its listen address and introduces itself with a `Hello` frame; the
 //!   accepting side registers the same stream for its own sends back.
 //!   Clients therefore need no listener of their own.
-//! - **One-sided reads as internal RPCs.** `rdma_read` and
-//!   `rdma_read_padded` travel as `RdmaReadReq` frames serviced directly
-//!   by the remote *reader thread* — the remote protocol thread is never
-//!   scheduled, preserving the one-sided property the recovery path
-//!   assumes. A read whose reply would not fit one frame is split into
-//!   requests that do; the reader thread refuses a larger request as out
-//!   of bounds, allocating nothing for it.
+//! - **Messages only.** A stream carries `Hello` once and then `App`
+//!   frames; reader threads only decode and enqueue, so nothing is ever
+//!   served from them.
 //! - **Logical stats.** Counters record message counts and `WireSize`
 //!   bytes (not encoded frame sizes), so a fixed protocol script
 //!   produces identical counters on sim and TCP.
@@ -42,35 +38,19 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::frame::{Codec, FrameBuf, FrameKind, FrameReader, WireReader, MAX_FRAME_LEN};
+use crate::frame::{Codec, FrameBuf, FrameKind, FrameReader, WireReader};
 use crate::mailbox::Mailbox;
-use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId, Payload, WireSize};
+use crate::{NetError, NetStats, NodeId, WireSize};
 
 /// Dial timeout for lazy connections.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-/// How long a one-sided read waits for its reply before reporting the
-/// peer unreachable.
-const RPC_TIMEOUT: Duration = Duration::from_secs(2);
-/// The most bytes one read reply carries: its frame body also holds the
-/// rpc id (8 bytes) and a status byte.
-const READ_CHUNK: usize = MAX_FRAME_LEN - 9;
-
-/// A parsed one-sided response, mapped to `NetError` by the requester
-/// (which knows the target node id).
-enum RpcReply {
-    ReadOk(Vec<u8>),
-    UnknownRegion,
-    OutOfBounds { region: usize },
-    Malformed,
-}
-
 type Writer = Arc<Mutex<TcpStream>>;
 
 /// Corked frames across all peers are flushed once they reach this
@@ -108,7 +88,6 @@ struct Shared<M> {
     id: NodeId,
     codec: Arc<dyn Codec<M>>,
     mailbox: Arc<Mailbox<M>>,
-    regions: RwLock<BTreeMap<MrKey, MemoryRegion>>,
     stats: NetStats,
     /// Live writer halves, keyed by peer node id. Entries appear on
     /// outbound dial or inbound `Hello` and vanish on I/O error.
@@ -119,10 +98,6 @@ struct Shared<M> {
     /// Every stream ever opened, kept so `close()` can unblock the
     /// blocking reader threads by shutting the sockets down.
     streams: Mutex<Vec<TcpStream>>,
-    /// In-flight one-sided RPCs: `None` until the response arrives.
-    rpcs: Mutex<BTreeMap<u64, Option<RpcReply>>>,
-    rpc_cond: Condvar,
-    next_rpc: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -189,14 +164,10 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
                 id,
                 codec,
                 mailbox: Mailbox::new(),
-                regions: RwLock::new(BTreeMap::new()),
                 stats: NetStats::default(),
                 conns: Mutex::new(BTreeMap::new()),
                 corked: Mutex::new(Corked::default()),
                 streams: Mutex::new(Vec::new()),
-                rpcs: Mutex::new(BTreeMap::new()),
-                rpc_cond: Condvar::new(),
-                next_rpc: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
             }),
             accept: Mutex::new(None),
@@ -255,88 +226,6 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
             .expect("spawn reader thread");
         Some(entry)
     }
-
-    /// One-sided RPC: send a read request and block for its reply.
-    fn rpc(&self, node: NodeId, build: impl FnOnce(u64, &mut FrameBuf)) -> Option<RpcReply> {
-        // App frames corked for `node` must not fall behind this request,
-        // and this thread is about to block for the reply.
-        self.inner.flush_corked();
-        let rpc = self.inner.next_rpc.fetch_add(1, AtomicOrdering::AcqRel);
-        let mut body = FrameBuf::new();
-        build(rpc, &mut body);
-        self.inner.rpcs.lock().insert(rpc, None);
-        let sent = self.writer_for(node).is_some_and(|w| {
-            self.inner
-                .write(node, &w, |s| body.write_to(FrameKind::RdmaReadReq, s))
-        });
-        if !sent {
-            self.inner.rpcs.lock().remove(&rpc);
-            return None;
-        }
-        let deadline = crate::clock::now() + RPC_TIMEOUT;
-        let mut rpcs = self.inner.rpcs.lock();
-        loop {
-            match rpcs.get(&rpc) {
-                Some(Some(_)) => {
-                    return rpcs.remove(&rpc).flatten();
-                }
-                Some(None) => {}
-                None => return None,
-            }
-            if self
-                .inner
-                .rpc_cond
-                .wait_until(&mut rpcs, deadline)
-                .timed_out()
-            {
-                rpcs.remove(&rpc);
-                return None;
-            }
-        }
-    }
-
-    /// A one-sided read, as requests whose replies fit one frame each.
-    /// Each request reads its chunk atomically; a read of several does
-    /// not, like a series of RDMA reads.
-    fn read_chunked(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-        padded: bool,
-    ) -> Result<Vec<u8>, NetError> {
-        let mut out = Vec::new();
-        loop {
-            let at = offset.saturating_add(out.len());
-            let n = (len - out.len()).min(READ_CHUNK);
-            let reply = self
-                .rpc(node, |rpc, body| {
-                    body.put_u64(rpc);
-                    body.put_u64(key);
-                    body.put_u64(at as u64);
-                    body.put_u64(n as u64);
-                    body.put_u8(padded as u8);
-                })
-                .ok_or(NetError::Unreachable(node))?;
-            match reply {
-                RpcReply::ReadOk(bytes) if bytes.len() == n => out.extend(bytes),
-                RpcReply::UnknownRegion => return Err(NetError::UnknownRegion { node, key }),
-                RpcReply::OutOfBounds { region } => {
-                    return Err(NetError::OutOfBounds {
-                        offset,
-                        len,
-                        region,
-                    })
-                }
-                _ => return Err(NetError::Unreachable(node)),
-            }
-            if out.len() == len {
-                self.inner.stats.record_rdma_read(len);
-                return Ok(out);
-            }
-        }
-    }
 }
 
 impl<M> Drop for TcpTransport<M> {
@@ -358,15 +247,6 @@ impl<M> TcpTransport<M> {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
         drop(streams);
-        // Fail any RPC still waiting for a response.
-        let mut rpcs = shared.rpcs.lock();
-        for slot in rpcs.values_mut() {
-            if slot.is_none() {
-                *slot = Some(RpcReply::Malformed);
-            }
-        }
-        drop(rpcs);
-        shared.rpc_cond.notify_all();
         // The accept thread blocks in `accept()`: a throw-away connection
         // makes it look at the shutdown flag. Join only if that connection
         // was made, so a listener that cannot be reached cannot hang us.
@@ -432,8 +312,7 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
     /// Corked frames are written out, oldest first per peer, by whichever
     /// comes first: a `send` that finds the mailbox empty;
     /// `recv_timeout`/`try_recv` finding nothing deliverable (before
-    /// polling or returning `None`); `flush`; any one-sided read;
-    /// `close()` or drop; or the total across all peers reaching 64
+    /// polling or returning `None`); `flush`; `close()` or drop; or the total across all peers reaching 64
     /// frames or 128 KiB. Counters are recorded here either way.
     ///
     /// # Errors
@@ -494,34 +373,6 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
             Err(_) => {}
         }
         r
-    }
-
-    fn register_region(&self, key: MrKey, region: MemoryRegion) {
-        self.inner.regions.write().insert(key, region);
-    }
-
-    fn deregister_region(&self, key: MrKey) {
-        self.inner.regions.write().remove(&key);
-    }
-
-    fn rdma_read(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        self.read_chunked(node, key, offset, len, false)
-    }
-
-    fn rdma_read_padded(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError> {
-        self.read_chunked(node, key, offset, len, true)
     }
 }
 
@@ -611,8 +462,6 @@ fn reader_loop<M: Send + WireSize + Clone + 'static>(
                         }
                     }
                 }
-                FrameKind::RdmaReadReq => serve_read(&shared, body, &writer),
-                FrameKind::RdmaReadResp => complete_rpc(&shared, body),
             }
         }
         if !batch.is_empty() {
@@ -623,69 +472,5 @@ fn reader_loop<M: Send + WireSize + Clone + 'static>(
     }
     if let Some(p) = peer {
         drop_conn(&shared, p, &writer);
-    }
-}
-
-const RPC_OK: u8 = 0;
-const RPC_UNKNOWN_REGION: u8 = 1;
-const RPC_OUT_OF_BOUNDS: u8 = 2;
-
-/// Services a one-sided read directly on the reader thread; the
-/// protocol thread is never involved (the "one-sided" property). A
-/// request whose reply would not fit one frame is out of bounds.
-fn serve_read<M>(shared: &Shared<M>, body: &[u8], writer: &Writer) {
-    let mut r = WireReader::new(body);
-    let Ok((rpc, key, offset, len, padded)) = (|| -> Result<_, NetError> {
-        let rpc = r.u64()?;
-        let key = r.u64()?;
-        let offset = r.u64()? as usize;
-        let len = r.u64()? as usize;
-        let padded = r.u8()? != 0;
-        Ok((rpc, key, offset, len, padded))
-    })() else {
-        return; // Malformed request: nothing to correlate a reply to.
-    };
-    let region = shared.regions.read().get(&key).cloned();
-    let mut resp = FrameBuf::new();
-    resp.put_u64(rpc);
-    match region {
-        None => resp.put_u8(RPC_UNKNOWN_REGION),
-        Some(region) => {
-            let bytes = if len > READ_CHUNK {
-                None // The reply would not fit one frame.
-            } else if padded {
-                Some(region.read_padded(offset, len))
-            } else {
-                region.read(offset, len).ok()
-            };
-            if let Some(bytes) = bytes {
-                resp.put_u8(RPC_OK);
-                resp.put_payload(&Payload::from(bytes));
-            } else {
-                resp.put_u8(RPC_OUT_OF_BOUNDS);
-                resp.put_u64(region.len() as u64);
-            }
-        }
-    }
-    let _ = resp.write_to(FrameKind::RdmaReadResp, &mut *writer.lock());
-}
-
-/// Parses a one-sided response and wakes the waiting requester.
-fn complete_rpc<M>(shared: &Shared<M>, body: &[u8]) {
-    let mut r = WireReader::new(body);
-    let Ok(rpc) = r.u64() else { return };
-    let reply = match r.u8() {
-        Ok(RPC_OK) => RpcReply::ReadOk(r.rest().to_vec()),
-        Ok(RPC_UNKNOWN_REGION) => RpcReply::UnknownRegion,
-        Ok(RPC_OUT_OF_BOUNDS) => RpcReply::OutOfBounds {
-            region: r.u64().unwrap_or(0) as usize,
-        },
-        _ => RpcReply::Malformed,
-    };
-    let mut rpcs = shared.rpcs.lock();
-    if let Some(slot) = rpcs.get_mut(&rpc) {
-        *slot = Some(reply);
-        drop(rpcs);
-        shared.rpc_cond.notify_all();
     }
 }

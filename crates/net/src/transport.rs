@@ -11,9 +11,8 @@
 //!   sockets, used by the standalone `ring-server` / `ring-cli`
 //!   binaries and the loopback bench harness.
 //!
-//! The trait mirrors the verbs the paper's protocol actually uses: two-
-//! sided fire-and-forget messaging, and the one-sided memory-region
-//! reads recovery relies on (the protocol never writes one-sided).
+//! The trait is two-sided fire-and-forget messaging and nothing else:
+//! recovery fetches remote bytes with request/response messages too.
 //! Fire-and-forget semantics are part of the contract — a send to a
 //! dead or unreachable peer returns `Ok(())` and the message vanishes;
 //! callers must use timeouts, as on a real network. `Err` from `send`
@@ -21,9 +20,9 @@
 
 use std::time::Duration;
 
-use crate::{MemoryRegion, MrKey, NetError, NetStats, NodeId};
+use crate::{NetError, NetStats, NodeId};
 
-/// Messaging + one-sided verbs, implemented by every network backend.
+/// Two-sided messaging, implemented by every network backend.
 ///
 /// `M` is the protocol message type. Implementations must be usable
 /// from the single protocol thread that owns them (`Send` so the owner
@@ -86,40 +85,4 @@ pub trait Transport<M>: Send {
     ///
     /// [`NetError::Closed`] if this endpoint is shut down.
     fn try_recv(&self) -> Result<Option<(NodeId, M)>, NetError>;
-
-    /// Registers a memory region under `key`, making it remotely
-    /// readable. Re-registering a key replaces the region.
-    fn register_region(&self, key: MrKey, region: MemoryRegion);
-
-    /// Removes a region registration.
-    fn deregister_region(&self, key: MrKey);
-
-    /// One-sided read of `[offset, offset + len)` from `node`'s region
-    /// `key` — the recovery path's RDMA read.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`], [`NetError::UnknownRegion`] or
-    /// [`NetError::OutOfBounds`].
-    fn rdma_read(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError>;
-
-    /// One-sided read that zero-pads past the end of the region
-    /// ([`MemoryRegion::read_padded`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Unreachable`] or [`NetError::UnknownRegion`].
-    fn rdma_read_padded(
-        &self,
-        node: NodeId,
-        key: MrKey,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, NetError>;
 }

@@ -24,9 +24,6 @@ fn net_error_display() {
     );
     assert_eq!(NetError::Timeout.to_string(), "receive timed out");
     assert_eq!(NetError::Closed.to_string(), "endpoint closed");
-    assert!(NetError::UnknownRegion { node: 2, key: 9 }
-        .to_string()
-        .contains("region 9"));
     assert!(NetError::OutOfBounds {
         offset: 8,
         len: 4,
@@ -78,19 +75,6 @@ fn fabric_latency_accessor_round_trips() {
     let model = LatencyModel::hdd_commit();
     let f: Fabric<M> = Fabric::new(model);
     assert_eq!(f.latency(), model);
-}
-
-#[test]
-fn register_and_deregister_region() {
-    let f: Fabric<M> = Fabric::new(LatencyModel::instant());
-    let a = f.register(0).unwrap();
-    let b = f.register(1).unwrap();
-    let unknown = Err(NetError::UnknownRegion { node: 1, key: 1 });
-    assert_eq!(a.rdma_read(1, 1, 0, 0), unknown);
-    b.register_region(1, MemoryRegion::new(8));
-    assert_eq!(a.rdma_read(1, 1, 0, 8), Ok(vec![0; 8]));
-    b.deregister_region(1);
-    assert_eq!(a.rdma_read(1, 1, 0, 0), unknown);
 }
 
 #[test]

@@ -38,7 +38,7 @@ proptest! {
         offset in 0usize..256,
         data in proptest::collection::vec(any::<u8>(), 1..128),
     ) {
-        let region = MemoryRegion::new(offset + len.max(data.len()) + data.len());
+        let mut region = MemoryRegion::new(offset + len.max(data.len()) + data.len());
         region.write(offset, &data).unwrap();
         prop_assert_eq!(region.read(offset, data.len()).unwrap(), data);
     }
@@ -61,7 +61,7 @@ proptest! {
         offset in 0usize..512,
         len in 0usize..512,
     ) {
-        let region = MemoryRegion::new(bytes.len());
+        let mut region = MemoryRegion::new(bytes.len());
         region.write(0, &bytes).unwrap();
         let want: Vec<u8> = (offset..offset + len)
             .map(|i| bytes.get(i).copied().unwrap_or(0))

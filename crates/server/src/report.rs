@@ -14,15 +14,8 @@ fn push_net(out: &mut String, net: &NetStatsSnapshot) {
     let _ = write!(
         out,
         "\"net\":{{\"msgs_sent\":{},\"bytes_sent\":{},\"msgs_received\":{},\
-         \"bytes_received\":{},\"retransmits\":{},\"rdma_reads\":{},\
-         \"rdma_read_bytes\":{}}}",
-        net.msgs_sent,
-        net.bytes_sent,
-        net.msgs_received,
-        net.bytes_received,
-        net.retransmits,
-        net.rdma_reads,
-        net.rdma_read_bytes,
+         \"bytes_received\":{},\"retransmits\":{}}}",
+        net.msgs_sent, net.bytes_sent, net.msgs_received, net.bytes_received, net.retransmits,
     );
 }
 

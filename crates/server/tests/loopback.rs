@@ -161,6 +161,52 @@ fn kill_node_promotes_spare() {
 }
 
 #[test]
+fn parity_rebuild_over_tcp_then_decodes_a_dead_coordinators_keys() {
+    setup_bins();
+    let spec = LoopbackSpec {
+        spares: 2,
+        ..LoopbackSpec::default()
+    };
+    let mut cluster = LoopbackCluster::start(spec).expect("cluster boots");
+    let config = cluster.topology().config();
+    let parity = config.redundant(0, 0);
+    let doomed = config.coordinator(0, 0);
+    let mut client = cluster.client();
+
+    // SRS(2,1) keys of a few hundred bytes each: the parity heap is
+    // far from empty.
+    let mut want: Vec<(u64, Vec<u8>)> = (0..16u64)
+        .map(|key| (key, format!("srs-{key}-").repeat(40).into_bytes()))
+        .collect();
+    for (key, value) in &want {
+        retry(Duration::from_secs(10), || client.put_to(*key, value, 1))
+            .unwrap_or_else(|e| panic!("srs put {key}: {e:?}"));
+    }
+
+    // A spare replaces the parity node and rebuilds its heap from the
+    // coordinators' rows; puts stall until it is done.
+    cluster.kill_node(parity).expect("kill the parity node");
+    retry(Duration::from_secs(20), || {
+        client.put_to(100, b"after-rebuild", 1)
+    })
+    .expect("puts resume after the rebuild");
+    want.push((100, b"after-rebuild".to_vec()));
+
+    // With coordinator 0 gone too, its keys decode only through the
+    // rebuilt parity.
+    cluster.kill_node(doomed).expect("kill a coordinator");
+    let lost: Vec<&(u64, Vec<u8>)> = (want.iter())
+        .filter(|(key, _)| config.coordinator_of_key(*key) == doomed)
+        .collect();
+    assert!(!lost.is_empty(), "the dead coordinator held keys");
+    for (key, value) in lost {
+        let got = retry(Duration::from_secs(20), || client.get(*key))
+            .unwrap_or_else(|e| panic!("srs key {key} lost: {e:?}"));
+        assert!(got == *value, "key {key} decoded to different bytes");
+    }
+}
+
+#[test]
 fn sigterm_drains_and_flushes_json_stats() {
     setup_bins();
     let mut cluster = LoopbackCluster::start(LoopbackSpec::default()).expect("cluster boots");

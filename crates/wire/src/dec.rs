@@ -433,14 +433,12 @@ pub fn decode_msg(body: &[u8]) -> Result<Msg, NetError> {
             let memgest = r.u32()?;
             let shard = get_usize(r)?;
             let heap_len = get_usize(r)?;
-            let data_valid = get_bool(r)?;
             let entries = get_meta_entries(r)?;
             Msg::ParityRebuildInfo {
                 group,
                 memgest,
                 shard,
                 heap_len,
-                data_valid,
                 entries,
             }
         }

@@ -467,7 +467,6 @@ pub fn encode_msg(msg: &Msg, out: &mut FrameBuf) {
             memgest,
             shard,
             heap_len,
-            data_valid,
             entries,
         } => {
             out.put_u8(MSG_PARITY_REBUILD_INFO);
@@ -475,7 +474,6 @@ pub fn encode_msg(msg: &Msg, out: &mut FrameBuf) {
             out.put_u32(*memgest);
             out.put_u64(*shard as u64);
             out.put_u64(*heap_len as u64);
-            put_bool(out, *data_valid);
             put_meta_entries(out, entries);
         }
         Msg::ParityRebuildDone { group, memgest } => {

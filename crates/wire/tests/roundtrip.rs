@@ -324,7 +324,6 @@ fn arb_msg_variant(idx: u64, rng: &mut TestRng) -> Msg {
             memgest: rng.next_u64() as u32,
             shard: rng.below(8) as usize,
             heap_len: rng.next_u64() as usize,
-            data_valid: rng.next_u64() & 1 == 1,
             entries: arb_meta_entries(rng),
         },
         19 => Msg::ParityRebuildDone {
