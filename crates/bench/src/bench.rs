@@ -72,8 +72,8 @@ struct FabricHop {
 }
 
 /// One-way latency of a 1 KiB message between two in-process
-/// `TcpTransport`s over loopback: framing, sockets, one reader thread
-/// per side and the mailbox receive path, no protocol above them.
+/// `TcpTransport`s over loopback: framing, sockets and each owner's
+/// epoll receive path, no protocol above them.
 #[derive(Serialize)]
 struct TcpHop {
     us: f64,

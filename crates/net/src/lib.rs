@@ -52,6 +52,7 @@ mod mailbox;
 mod memory;
 mod payload;
 mod stats;
+mod sys;
 mod tcp;
 mod transport;
 

@@ -4,11 +4,11 @@
 //! in simulated-arrival order even when messages with different injected
 //! latencies interleave; a condvar parks the one receiver.
 //!
-//! [`Mailbox::recv`] is the receive path of both backends (`Endpoint`,
-//! `TcpTransport`). An RDMA node polls its completion queue; a receiver
-//! parked on the condvar pays a futex wake of a halted vCPU for the next
-//! message — ten times the fabric's injected 2.5 µs, and the second of a
-//! TCP loopback hop's two wake-ups. So a *hot* mailbox (its previous
+//! [`Mailbox::recv`] is the fabric `Endpoint`'s receive path
+//! (`TcpTransport` applies the same rule to its own sockets). An RDMA
+//! node polls its completion queue; a receiver parked on the condvar
+//! pays a futex wake of a halted vCPU for the next message — ten times
+//! the fabric's injected 2.5 µs. So a *hot* mailbox (its previous
 //! `recv` returned a message) first polls for at most [`SPIN_THRESHOLD`],
 //! yielding between looks, and only then parks. The yield is
 //! load-bearing (a cluster is more threads than the host has cores; a
@@ -94,34 +94,6 @@ impl<M> Mailbox<M> {
             from,
             msg,
         });
-        self.count.store(heap.len(), AtomicOrdering::Relaxed);
-        drop(heap);
-        self.cond.notify_one();
-    }
-
-    /// Pushes every message of `batch`, all due at `deliver_at`, under
-    /// one lock and with one wake-up: the mailbox has a single receiver,
-    /// which drains what it finds before blocking again. The fabric's
-    /// per-message `push` stays separate: it needs no iterator and takes
-    /// its `seq` before the lock.
-    pub(crate) fn push_batch(
-        &self,
-        batch: impl IntoIterator<Item = (NodeId, M)>,
-        deliver_at: Instant,
-    ) {
-        if self.closed.load(AtomicOrdering::Acquire) {
-            return;
-        }
-        let mut heap = self.heap.lock();
-        for (from, msg) in batch {
-            let seq = self.seq.fetch_add(1, AtomicOrdering::Relaxed);
-            heap.push(Packet {
-                deliver_at,
-                seq,
-                from,
-                msg,
-            });
-        }
         self.count.store(heap.len(), AtomicOrdering::Relaxed);
         drop(heap);
         self.cond.notify_one();
@@ -313,21 +285,6 @@ mod tests {
         // Pushes after close vanish.
         mb.push(1, 2u8, Instant::now());
         assert_eq!(mb.len(), 0);
-    }
-
-    #[test]
-    fn push_batch_keeps_order_and_count() {
-        let mb = Mailbox::new();
-        let at = Instant::now();
-        mb.push(9, 0u32, at);
-        mb.push_batch([(1, 10u32), (2, 20), (1, 30)], at);
-        assert_eq!(mb.len(), 4);
-        let got: Vec<_> = (0..4).map(|_| mb.recv(None).unwrap()).collect();
-        assert_eq!(got, vec![(9, 0), (1, 10), (2, 20), (1, 30)]);
-        assert_eq!(mb.len(), 0);
-        mb.close();
-        mb.push_batch([(1, 1u32)], at);
-        assert_eq!(mb.len(), 0, "a batch to a closed mailbox vanishes");
     }
 
     /// A mailbox whose previous receive returned a message, i.e. is hot.

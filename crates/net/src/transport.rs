@@ -7,8 +7,9 @@
 //! - [`Endpoint`](crate::Endpoint) — the simulated fabric: deterministic,
 //!   latency-modelled, fault-injectable. The backend every test, chaos
 //!   soak, and determinism regression runs on.
-//! - [`TcpTransport`](crate::TcpTransport) — threaded TCP over real
-//!   sockets, used by the standalone `ring-server` / `ring-cli`
+//! - [`TcpTransport`](crate::TcpTransport) — TCP over real sockets,
+//!   polled by the owner's own thread through one epoll set (no reader
+//!   threads), used by the standalone `ring-server` / `ring-cli`
 //!   binaries and the loopback bench harness.
 //!
 //! The trait is two-sided fire-and-forget messaging and nothing else:

@@ -1,7 +1,7 @@
 //! The TCP backend's send/flush contract (see `TcpTransport::send`):
 //! when a frame may be held back, what releases it, the bound on what
-//! is held, per-peer FIFO across every transition — and the accept
-//! thread's shutdown.
+//! is held, per-peer FIFO across every transition — and the listener's
+//! shutdown.
 
 mod common;
 
@@ -173,7 +173,7 @@ fn a_failed_flush_loses_the_frames_and_the_next_send_redials() {
 }
 
 #[test]
-fn close_joins_the_accept_thread_and_frees_the_port() {
+fn close_frees_the_port_for_a_rebind() {
     let peers = peer_map(1);
     let first = try_bind(0, &peers).expect("first bind");
     assert!(
@@ -184,10 +184,10 @@ fn close_joins_the_accept_thread_and_frees_the_port() {
     first.close();
     assert!(
         started.elapsed() < Duration::from_secs(1),
-        "close() waited {:?} for the accept thread",
+        "close() took {:?}",
         started.elapsed()
     );
-    // The accept thread has exited and dropped its listener.
+    // The listener is closed.
     let second = try_bind(0, &peers).expect("re-bind straight after close()");
     drop(second);
     let third = try_bind(0, &peers).expect("re-bind straight after drop");

@@ -1,8 +1,7 @@
-//! The TCP backend's receive path: `recv_timeout` enters the same
-//! `Mailbox::recv` as the fabric — a hot receiver polls before it parks
-//! — after releasing its corked frames. The poll itself (looks, `Closed`
-//! during a look, nothing before `deliver_at`) is unit-tested on the
-//! mailbox; these drive it through real sockets and reader threads.
+//! The TCP backend's receive path: `recv_timeout` follows the fabric
+//! mailbox's rule — a hot receiver looks at its sockets before it parks
+//! in `epoll_wait` — after releasing its corked frames. These drive it
+//! through real sockets, which no thread but the owner's reads.
 
 mod common;
 

@@ -64,7 +64,12 @@ fn run_leader(transport: TcpTransport<ring_kvs::proto::Msg>, parsed: &ServerArgs
     let snap = leader.transport().stats().snapshot();
     eprintln!(
         "{}",
-        report::leader_report(parsed.node, leader.config().epoch, &snap)
+        report::leader_report(
+            parsed.node,
+            leader.config().epoch,
+            &snap,
+            report::process_threads()
+        )
     );
 }
 
@@ -81,5 +86,9 @@ fn run_node(transport: TcpTransport<ring_kvs::proto::Msg>, parsed: &ServerArgs) 
     );
     node.run_until(signal::shutdown_requested, parsed.drain_grace);
     let snap = node.transport().stats().snapshot();
-    eprintln!("{}", report::node_report(&node.node_stats(), &snap));
+    let threads = report::process_threads();
+    eprintln!(
+        "{}",
+        report::node_report(&node.node_stats(), &snap, threads)
+    );
 }

@@ -264,6 +264,8 @@ fn sigterm_drains_and_flushes_json_stats() {
         "a serving node must have sent messages: {line}"
     );
     assert!(net.get("retransmits").is_some(), "{line}");
+    let threads = |v: &serde_json::Value| v.get("threads").and_then(|t| t.as_u64());
+    assert_eq!(threads(&json), Some(1), "one thread per server: {line}");
 
     // The rest of the cluster shuts down cleanly too, leader included.
     let reports = cluster.shutdown();
@@ -274,5 +276,6 @@ fn sigterm_drains_and_flushes_json_stats() {
             .unwrap_or_else(|e| panic!("node {}: bad JSON ({e:?}): {}", r.node, r.stderr));
         let role = v.get("role").and_then(|x| x.as_str()).unwrap_or("");
         assert!(role == "node" || role == "leader", "{}", r.stderr);
+        assert_eq!(threads(&v), Some(1), "node {}: {}", r.node, r.stderr);
     }
 }

@@ -15,10 +15,8 @@
 //! 1. **Mailbox** (`crates/net/src/mailbox.rs`): the relaxed `count`
 //!    mirror never disagrees with the heap length at quiescence, and a
 //!    blocked receiver is always woken by a concurrent push or close
-//!    (no lost wakeup) — also when a whole batch arrives under one lock
-//!    with a single `notify_one` (`push_batch`, the TCP readers' path),
-//!    and also when a hot receiver polls before it parks
-//!    (`Mailbox::recv`, both backends): its last lock-free look may say
+//!    (no lost wakeup) — also when a hot receiver polls before it parks
+//!    (`Mailbox::recv`, the fabric's receive): its last lock-free look may say
 //!    "empty" just before a push, so the park must re-check under the
 //!    lock before it waits.
 //! 2. **Payload** (`crates/net/src/payload.rs`): one buffer shared by a
@@ -63,18 +61,6 @@ impl MiniMailbox {
         }
         let mut q = self.queue.lock().unwrap();
         q.push(v);
-        self.count.store(q.len(), Ordering::Relaxed);
-        drop(q);
-        self.cond.notify_one();
-    }
-
-    /// `Mailbox::push_batch`: k messages, one lock, one `notify_one`.
-    fn push_batch(&self, vs: &[u32]) {
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        let mut q = self.queue.lock().unwrap();
-        q.extend_from_slice(vs);
         self.count.store(q.len(), Ordering::Relaxed);
         drop(q);
         self.cond.notify_one();
@@ -168,9 +154,12 @@ fn mailbox_poll_then_park_loses_no_wakeup() {
     loom::model(|| {
         let mb = Arc::new(MiniMailbox::new());
 
-        let batcher = {
+        let pair = {
             let mb = Arc::clone(&mb);
-            thread::spawn(move || mb.push_batch(&[1, 2]))
+            thread::spawn(move || {
+                mb.push(1);
+                mb.push(2);
+            })
         };
         let single = {
             let mb = Arc::clone(&mb);
@@ -185,7 +174,7 @@ fn mailbox_poll_then_park_loses_no_wakeup() {
             })
         };
 
-        batcher.join().unwrap();
+        pair.join().unwrap();
         single.join().unwrap();
         let mut got = consumer.join().unwrap();
         got.sort_unstable();
@@ -214,46 +203,6 @@ fn mailbox_close_ends_a_polling_receiver() {
         };
         closer.join().unwrap();
         assert_eq!(rx.join().unwrap(), None);
-    });
-}
-
-/// Batch model: one reader thread delivers three messages with a single
-/// `notify_one` while another pushes singly and the one receiver drains
-/// all four. The receiver takes one message per wake-up and re-checks
-/// the queue before sleeping again, so the one notification must be
-/// enough — a lost wake-up here would strand the tail of every batch.
-#[test]
-fn mailbox_push_batch_single_notify_wakes_the_receiver() {
-    loom::model(|| {
-        let mb = Arc::new(MiniMailbox::new());
-
-        let batcher = {
-            let mb = Arc::clone(&mb);
-            thread::spawn(move || mb.push_batch(&[1, 2, 3]))
-        };
-        let single = {
-            let mb = Arc::clone(&mb);
-            thread::spawn(move || mb.push(10))
-        };
-        let consumer = {
-            let mb = Arc::clone(&mb);
-            thread::spawn(move || {
-                (0..4)
-                    .map(|_| mb.recv().expect("closed before all messages drained"))
-                    .collect::<Vec<_>>()
-            })
-        };
-
-        batcher.join().unwrap();
-        single.join().unwrap();
-        let got = consumer.join().unwrap();
-        let batch: Vec<u32> = got.iter().copied().filter(|&v| v < 10).collect();
-        assert_eq!(batch, vec![1, 2, 3], "a batch stays whole and in order");
-        assert!(got.contains(&10), "the single push was lost");
-
-        let q = mb.queue.lock().unwrap();
-        assert_eq!(q.len(), 0);
-        assert_eq!(mb.count.load(Ordering::Relaxed), 0, "count mirror diverged");
     });
 }
 
