@@ -1,8 +1,9 @@
 //! The `bench` subcommand, the performance baseline: GF kernel
 //! throughput, the parity-delta vs re-encode ablation, one fabric and
-//! one loopback-TCP hop, end-to-end put/get latency and pipelined put
-//! throughput per scheme, degraded-read tail latency and the same ops
-//! over real `ring-server` processes.
+//! one loopback-TCP hop, the metadata table's per-call cost, end-to-end
+//! put/get latency and pipelined put throughput per scheme,
+//! degraded-read tail latency and the same ops over real `ring-server`
+//! processes.
 //!
 //! Writes `BENCH_ring.json` at the repo root (committed, so regressions
 //! are visible in review) and can audit a fresh run against a committed
@@ -24,8 +25,9 @@
 //!   Also guards this run's own `tail_latency` section: the rows must
 //!   exist and p999 at Δ=1 must not exceed p999 at Δ=0; and its own
 //!   `fabric_hop` row: what the host adds to a hop (`rdma_us −
-//!   instant_us`) may not exceed 25 µs. The `tcp_hop` and
-//!   `parity_update` rows are recorded, not guarded.
+//!   instant_us`) may not exceed 25 µs; and its own `meta_table` row:
+//!   no metadata-table call at 100 k keys may exceed 500 ns. The
+//!   `tcp_hop` and `parity_update` rows are recorded, not guarded.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
@@ -36,6 +38,7 @@ use std::time::{Duration, Instant};
 use ring_chaos::{StragglerProfile, StragglerSpec};
 use ring_erasure::Rs;
 use ring_gf::{region, Gf256};
+use ring_kvs::storage::{MetaTable, ObjectEntry};
 use ring_kvs::{Cluster, ClusterSpec};
 use ring_net::{
     Codec, Fabric, FrameBuf, LatencyModel, NetError, NodeId, TcpTransport, Transport, WireSize,
@@ -60,6 +63,15 @@ const MAX_REGRESSION: f64 = 3.0;
 /// ~70 µs here; one that polls its mailbox, 2–3 µs.
 const MAX_HOP_OVERHEAD_US: f64 = 25.0;
 
+/// Keys in the `meta_table` row's table.
+const META_KEYS: usize = 100_000;
+
+/// Most one metadata-table call may cost in the `meta_table` row before
+/// `--check` fails the run. On a 2-vCPU shared host the flat table's
+/// dearest calls (insert, remove_below) cost 140–260 ns and `highest`
+/// 45–70 ns; the nested B-tree it replaced cost 500–730 ns per call.
+const MAX_META_NS: f64 = 500.0;
+
 /// One-way latency of a 1 KiB message between two fabric endpoints on
 /// two threads — the mailbox layer alone, no protocol above it.
 #[derive(Serialize)]
@@ -77,6 +89,20 @@ struct FabricHop {
 #[derive(Serialize)]
 struct TcpHop {
     us: f64,
+}
+
+/// Per-call cost of one memgest's metadata table holding
+/// [`META_KEYS`] keys, each call on a key in shuffled order, so every
+/// probe lands cold as it does on a busy coordinator.
+#[derive(Serialize)]
+struct MetaTableRow {
+    keys: usize,
+    /// A put's new entry: version 1 of a key not yet in the table.
+    insert_ns: f64,
+    /// Version assignment and gets: a key's newest entry.
+    highest_ns: f64,
+    /// A commit's prune: the one version below the committed one goes.
+    remove_below_ns: f64,
 }
 
 /// Throughput of one coding operation over `len`-byte inputs.
@@ -136,6 +162,7 @@ struct Report {
     parity_update: Vec<GfRow>,
     fabric_hop: FabricHop,
     tcp_hop: TcpHop,
+    meta_table: MetaTableRow,
     e2e: Vec<E2eRow>,
     /// Degraded-read tail latency at Δ ∈ {0, 1, 2}: the late-binding
     /// `k + Δ` fan-out must collapse the p999 a straggling redundancy
@@ -319,6 +346,81 @@ fn check_fabric_hop(hop: &FabricHop) -> Vec<String> {
          sleeping through the injected latency instead of polling across it",
         hop.rdma_us, hop.instant_us
     )]
+}
+
+/// `0..n` in a seeded shuffled order (Fisher–Yates over an LCG).
+fn shuffled(n: usize, seed: u64) -> Vec<u64> {
+    let mut keys: Vec<u64> = (0..n as u64).collect();
+    let mut x = seed;
+    for i in (1..n).rev() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        keys.swap(i, ((x >> 33) % (i as u64 + 1)) as usize);
+    }
+    keys
+}
+
+/// Median per-call ns of each metadata-table operation over a few
+/// rounds, each on a fresh table filled in shuffled key order.
+fn run_meta_table(quick: bool) -> MetaTableRow {
+    let rounds = if quick { 5 } else { 15 };
+    let order = shuffled(META_KEYS, 0x4D45_5441); // "META"
+    let entry = || ObjectEntry::new(1024, 0, false);
+    let per_call = |t0: Instant| t0.elapsed().as_nanos() as f64 / META_KEYS as f64;
+    let mut samples = [(); 3].map(|_| Vec::with_capacity(rounds));
+    for _ in 0..rounds {
+        let mut meta = MetaTable::new();
+        let t0 = Instant::now();
+        for &key in &order {
+            meta.insert(key, 1, entry());
+        }
+        samples[0].push(per_call(t0));
+        // Reversed, the shuffled order is as cold as a fresh one.
+        let t0 = Instant::now();
+        for &key in order.iter().rev() {
+            black_box(meta.highest(key));
+        }
+        samples[1].push(per_call(t0));
+        for &key in &order {
+            meta.insert(key, 2, entry());
+        }
+        let t0 = Instant::now();
+        for &key in order.iter().rev() {
+            black_box(meta.remove_below(key, 2));
+        }
+        samples[2].push(per_call(t0));
+    }
+    let [insert_ns, highest_ns, remove_below_ns] = samples.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    MetaTableRow {
+        keys: META_KEYS,
+        insert_ns,
+        highest_ns,
+        remove_below_ns,
+    }
+}
+
+/// Guards the metadata-table row: no operation may cost more than
+/// [`MAX_META_NS`] per call.
+fn check_meta_table(row: &MetaTableRow) -> Vec<String> {
+    let ops = [
+        ("insert", row.insert_ns),
+        ("highest", row.highest_ns),
+        ("remove_below", row.remove_below_ns),
+    ];
+    ops.into_iter()
+        .filter(|&(_, ns)| ns > MAX_META_NS)
+        .map(|(op, ns)| {
+            format!(
+                "meta_table: {op} costs {ns:.0}ns per call at {} keys (limit {MAX_META_NS}ns) \
+                 — a put's table work is no longer one cold hash probe",
+                row.keys
+            )
+        })
+        .collect()
 }
 
 fn run_e2e(quick: bool) -> (u64, Vec<E2eRow>) {
@@ -608,6 +710,12 @@ pub fn run(args: &Args) -> i32 {
         "TCP hop (1 KiB ping-pong over loopback, one way): {:.1}us",
         tcp_hop.us
     );
+    let meta_table = run_meta_table(quick);
+    println!(
+        "Metadata table ({} keys, shuffled, per call): insert {:.0}ns  highest {:.0}ns  \
+         remove_below {:.0}ns",
+        meta_table.keys, meta_table.insert_ns, meta_table.highest_ns, meta_table.remove_below_ns
+    );
     let (seed, e2e) = run_e2e(quick);
     println!("Degraded-read tail latency (straggling parity, k+Δ fan-out):");
     let tail_latency = run_tail_latency(quick);
@@ -622,6 +730,7 @@ pub fn run(args: &Args) -> i32 {
         parity_update,
         fabric_hop,
         tcp_hop,
+        meta_table,
         e2e,
         tail_latency,
         tcp_loopback,
@@ -639,6 +748,7 @@ pub fn run(args: &Args) -> i32 {
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline JSON: {e}"));
     let mut problems = check_against(&baseline, &report.gf);
     problems.extend(check_fabric_hop(&report.fabric_hop));
+    problems.extend(check_meta_table(&report.meta_table));
     problems.extend(check_tail(&report.tail_latency));
     if problems.is_empty() {
         println!("check vs {}: ok", path.display());

@@ -627,7 +627,7 @@ impl<T: Transport<Msg>> Node<T> {
         if gs.shard.is_some() && !gs.coord.contains_key(&id) {
             let store = match desc.scheme {
                 Scheme::Rep { .. } => CoordStore::Rep {
-                    values: std::collections::HashMap::new(),
+                    values: Default::default(),
                 },
                 Scheme::Srs { k, m } => CoordStore::Srs {
                     heap: Heap::new(desc.block_size * 4),
@@ -662,7 +662,7 @@ impl<T: Transport<Msg>> Node<T> {
                 }
             } else {
                 RedundantStore::Rep {
-                    values: std::collections::HashMap::new(),
+                    values: Default::default(),
                 }
             };
             gs.redundant.insert(

@@ -9,7 +9,9 @@
 //! replicated — it is reconstructed from the memgests' metadata tables
 //! after failures.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ring_erasure::SrsLayout;
 use ring_net::{MemoryRegion, NodeId, Payload};
@@ -97,10 +99,57 @@ impl ObjectEntry {
     }
 }
 
-/// The per-memgest metadata hashtable: `(key, version) -> entry`.
+/// The hasher of every per-key table (metadata, volatile index, REP
+/// value stores): an FxHash-style multiply-rotate over 64-bit words.
+/// Keys are integers, so one multiply mixes enough; the final rotate
+/// brings the product's well-mixed high bits down to the bucket index.
+/// Fixed and unseeded: table layout, and so iteration order, is the
+/// same in every process. The price is no defence against keys chosen
+/// to collide (hash flooding); clients here pick keys, not adversaries.
+#[derive(Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// Builds [`FxHasher`]s for the per-key `HashMap`s.
+pub type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// The per-memgest metadata hashtable: `(key, version) -> entry`. One
+/// hash probe finds a key; its versions (rarely more than two: the
+/// committed one and a put in flight) sit in a short list sorted by
+/// version.
 #[derive(Debug, Default)]
 pub struct MetaTable {
-    map: BTreeMap<Key, BTreeMap<Version, ObjectEntry>>,
+    by_key: HashMap<Key, Vec<(Version, ObjectEntry)>, FxBuild>,
+}
+
+/// Where `version` sits (or would sit) in a key's sorted version list.
+fn position(versions: &[(Version, ObjectEntry)], version: Version) -> Result<usize, usize> {
+    versions.binary_search_by_key(&version, |&(v, _)| v)
 }
 
 impl MetaTable {
@@ -111,75 +160,88 @@ impl MetaTable {
 
     /// Inserts (or replaces) an entry.
     pub fn insert(&mut self, key: Key, version: Version, entry: ObjectEntry) {
-        self.map.entry(key).or_default().insert(version, entry);
+        let versions = self.by_key.entry(key).or_default();
+        match position(versions, version) {
+            Ok(i) => versions[i].1 = entry,
+            Err(i) => versions.insert(i, (version, entry)),
+        }
     }
 
     /// Looks an entry up.
     pub fn get(&self, key: Key, version: Version) -> Option<&ObjectEntry> {
-        self.map.get(&key)?.get(&version)
+        let versions = self.by_key.get(&key)?;
+        let i = position(versions, version).ok()?;
+        Some(&versions[i].1)
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, key: Key, version: Version) -> Option<&mut ObjectEntry> {
-        self.map.get_mut(&key)?.get_mut(&version)
+        let versions = self.by_key.get_mut(&key)?;
+        let i = position(versions, version).ok()?;
+        Some(&mut versions[i].1)
     }
 
     /// The highest version recorded for a key in this memgest.
     pub fn highest(&self, key: Key) -> Option<(Version, &ObjectEntry)> {
-        self.map.get(&key)?.iter().next_back().map(|(&v, e)| (v, e))
+        self.by_key.get(&key)?.last().map(|(v, e)| (*v, e))
     }
 
     /// Removes a specific version. Returns the entry if present.
     pub fn remove(&mut self, key: Key, version: Version) -> Option<ObjectEntry> {
-        let versions = self.map.get_mut(&key)?;
-        let out = versions.remove(&version);
-        if versions.is_empty() {
-            self.map.remove(&key);
+        let Entry::Occupied(mut slot) = self.by_key.entry(key) else {
+            return None;
+        };
+        let i = position(slot.get(), version).ok()?;
+        let (_, out) = slot.get_mut().remove(i);
+        if slot.get().is_empty() {
+            slot.remove();
         }
-        out
+        Some(out)
     }
 
     /// Removes every version strictly below `below`; returns the removed
     /// `(version, entry)` pairs.
     pub fn remove_below(&mut self, key: Key, below: Version) -> Vec<(Version, ObjectEntry)> {
-        let Some(versions) = self.map.get_mut(&key) else {
+        let Entry::Occupied(mut slot) = self.by_key.entry(key) else {
             return Vec::new();
         };
-        let doomed: Vec<Version> = versions.range(..below).map(|(&v, _)| v).collect();
-        let mut out = Vec::with_capacity(doomed.len());
-        for v in doomed {
-            if let Some(e) = versions.remove(&v) {
-                out.push((v, e));
-            }
-        }
-        if versions.is_empty() {
-            self.map.remove(&key);
+        let cut = slot.get().partition_point(|&(v, _)| v < below);
+        let out: Vec<_> = slot.get_mut().drain(..cut).collect();
+        if slot.get().is_empty() {
+            slot.remove();
         }
         out
     }
 
-    /// Iterates over all `(key, version, entry)` triples.
+    /// Iterates over all `(key, version, entry)` triples in `(key,
+    /// version)` order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Version, &ObjectEntry)> {
-        self.map
-            .iter()
-            .flat_map(|(&k, vs)| vs.iter().map(move |(&v, e)| (k, v, e)))
+        // ring-lint: allow(hashmap-iteration) -- collected, then sorted by key
+        let mut keys: Vec<_> = self.by_key.iter().collect();
+        keys.sort_unstable_by_key(|&(&k, _)| k);
+        keys.into_iter()
+            .flat_map(|(&k, vs)| vs.iter().map(move |(v, e)| (k, *v, e)))
     }
 
-    /// Iterates mutably over all `(key, version, entry)` triples.
+    /// Iterates mutably over all `(key, version, entry)` triples in
+    /// `(key, version)` order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (Key, Version, &mut ObjectEntry)> {
-        self.map
-            .iter_mut()
-            .flat_map(|(&k, vs)| vs.iter_mut().map(move |(&v, e)| (k, v, e)))
+        // ring-lint: allow(hashmap-iteration) -- collected, then sorted by key
+        let mut keys: Vec<_> = self.by_key.iter_mut().collect();
+        keys.sort_unstable_by_key(|(&k, _)| k);
+        keys.into_iter()
+            .flat_map(|(&k, vs)| vs.iter_mut().map(move |(v, e)| (k, *v, e)))
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.values().map(|v| v.len()).sum()
+        // ring-lint: allow(hashmap-iteration) -- order-insensitive count
+        self.by_key.values().map(Vec::len).sum()
     }
 
     /// True if the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.by_key.is_empty()
     }
 
     /// Approximate in-memory footprint in bytes (for the Figure 12
@@ -195,7 +257,7 @@ impl MetaTable {
 /// highest (needed for version assignment).
 #[derive(Debug, Default)]
 pub struct VolatileTable {
-    index: HashMap<Key, Vec<(Version, MemgestId)>>,
+    index: HashMap<Key, Vec<(Version, MemgestId)>, FxBuild>,
 }
 
 impl VolatileTable {
@@ -391,7 +453,7 @@ pub enum CoordStore {
     Rep {
         /// The value map (Arc-backed: entries share bytes with the
         /// replication fan-out and response cache).
-        values: HashMap<(Key, Version), Payload>,
+        values: HashMap<(Key, Version), Payload, FxBuild>,
     },
     /// SRS memgests store values in a bump-allocated heap with the
     /// stretched-code address arithmetic alongside.
@@ -437,7 +499,7 @@ pub enum RedundantStore {
     /// Replica copies of whole values.
     Rep {
         /// The value map (Arc-backed, shared with the incoming message).
-        values: HashMap<(Key, Version), Payload>,
+        values: HashMap<(Key, Version), Payload, FxBuild>,
     },
     /// A parity heap region covering the coordinators' data heaps.
     Parity {

@@ -21,7 +21,8 @@
 //! shared segments instead of copying them into the scratch buffer: the
 //! encode path of a 1 MiB put clones an `Arc`, not a megabyte.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, Read};
 
 use crate::{NetError, Payload};
 
@@ -209,8 +210,8 @@ enum Segment {
 /// An encode buffer that keeps [`Payload`] bytes zero-copy.
 ///
 /// Fixed-width fields accumulate into owned scratch segments; payloads
-/// are appended as `Arc`-shared segments. [`FrameBuf::write_to`] streams
-/// header + segments to a writer without ever concatenating them.
+/// are appended as `Arc`-shared segments, copied only when
+/// [`FrameBuf::append_to`] puts the frame in a stream's out-buffer.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     segments: Vec<Segment>,
@@ -278,58 +279,30 @@ impl FrameBuf {
         self.segments.push(Segment::Shared(p.clone()));
     }
 
-    /// Writes `header + body` to `w` as one gathered write: a single
-    /// `write_vectored` call unless the writer accepts only part of it.
-    /// Payload segments are never copied here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors; a writer that accepts zero bytes is
-    /// [`io::ErrorKind::WriteZero`].
-    pub fn write_to(&self, kind: FrameKind, w: &mut impl Write) -> io::Result<()> {
-        let header = pack_header(kind, self.len);
-        let mut slices = Vec::with_capacity(1 + self.segments.len());
-        slices.push(IoSlice::new(&header));
-        slices.extend(self.segments.iter().map(|seg| {
-            IoSlice::new(match seg {
-                Segment::Owned(v) => v,
-                Segment::Shared(p) => p.as_slice(),
-            })
-        }));
-        let mut left = &mut slices[..];
-        while !left.is_empty() {
-            match w.write_vectored(left) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut left, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    /// The body's bytes, segment by segment.
+    fn slices(&self) -> impl Iterator<Item = &[u8]> {
+        self.segments.iter().map(|seg| match seg {
+            Segment::Owned(v) => v.as_slice(),
+            Segment::Shared(p) => p.as_slice(),
+        })
+    }
+
+    /// Appends `header + body` to a stream's out-buffer: the one copy
+    /// payload segments get on their way to a socket.
+    pub fn append_to(&self, kind: FrameKind, out: &mut VecDeque<u8>) {
+        out.extend(&pack_header(kind, self.len));
+        self.slices().for_each(|s| out.extend(s));
     }
 
     /// Flattens the body into one `Vec` (tests, non-stream callers).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len);
-        for seg in &self.segments {
-            match seg {
-                Segment::Owned(v) => out.extend_from_slice(v),
-                Segment::Shared(p) => out.extend_from_slice(p.as_slice()),
-            }
-        }
-        out
+        self.slices().collect::<Vec<_>>().concat()
     }
 
     /// Flattens `header + body` into one `Vec` (tests, fuzzing).
     pub fn to_frame_bytes(&self, kind: FrameKind) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + self.len);
-        out.extend_from_slice(&pack_header(kind, self.len));
-        for seg in &self.segments {
-            match seg {
-                Segment::Owned(v) => out.extend_from_slice(v),
-                Segment::Shared(p) => out.extend_from_slice(p.as_slice()),
-            }
-        }
+        let mut out = pack_header(kind, self.len).to_vec();
+        self.slices().for_each(|s| out.extend_from_slice(s));
         out
     }
 }
@@ -522,11 +495,13 @@ mod tests {
     }
 
     #[test]
-    fn write_to_emits_header_then_body() {
+    fn append_to_emits_header_then_body() {
         let mut b = FrameBuf::new();
         b.put_u32(42);
-        let mut out = Vec::new();
-        b.write_to(FrameKind::Hello, &mut out).unwrap();
+        let mut out = VecDeque::from(vec![9u8]);
+        b.append_to(FrameKind::Hello, &mut out);
+        assert_eq!(out.pop_front(), Some(9), "appends after what was queued");
+        let out = Vec::from(out);
         assert_eq!(out.len(), FRAME_HEADER_LEN + 4);
         assert_eq!(
             frames(&out).unwrap(),

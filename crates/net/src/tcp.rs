@@ -331,7 +331,7 @@ impl<M: Send + WireSize + Clone + 'static> TcpTransport<M> {
         hello.put_u32(self.id);
         io.writers.insert(node, token);
         let s = io.streams.get_mut(&token)?;
-        let _ = hello.write_to(FrameKind::Hello, &mut s.out); // In-memory: cannot fail.
+        hello.append_to(FrameKind::Hello, &mut s.out);
         Some((token, s))
     }
 
@@ -434,7 +434,7 @@ impl<M: Send + WireSize + Clone + 'static> crate::Transport<M> for TcpTransport<
         let Some((token, s)) = self.writer_for(io, to) else {
             return Ok(());
         };
-        let _ = body.write_to(FrameKind::App, &mut s.out); // In-memory: cannot fail.
+        body.append_to(FrameKind::App, &mut s.out);
         io.corked_bytes += FRAME_HEADER_LEN + body.len();
         io.corked_frames += 1;
         io.corked.insert(token);

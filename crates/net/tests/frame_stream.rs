@@ -1,9 +1,7 @@
-//! The stream codec at its two ends: `FrameReader` (one `read`, many
-//! frames, cut anywhere) against the read-header-then-body decoder it
-//! replaced, and `FrameBuf::write_to` against writers that accept a few
-//! bytes at a time.
+//! The stream decoder: `FrameReader` (one `read`, many frames, cut
+//! anywhere) against the read-header-then-body decoder it replaced.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read};
 
 use proptest::prelude::*;
 use ring_net::frame::{
@@ -146,91 +144,4 @@ proptest! {
         prop_assert_eq!(want.len(), victim);
         prop_assert_eq!(batched(&stream, &chunks), (want, true));
     }
-}
-
-/// Accepts at most `caps[i % len]` bytes per call, spread over the
-/// slices it is given, and reports `Interrupted` on every third call.
-struct Trickle<'a> {
-    out: Vec<u8>,
-    caps: &'a [usize],
-    calls: usize,
-}
-
-impl Write for Trickle<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.write_vectored(&[IoSlice::new(buf)])
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        self.calls += 1;
-        if self.calls.is_multiple_of(3) {
-            return Err(io::ErrorKind::Interrupted.into());
-        }
-        let mut room = self.caps[self.calls % self.caps.len()];
-        let before = self.out.len();
-        for b in bufs {
-            let n = room.min(b.len());
-            self.out.extend_from_slice(&b[..n]);
-            room -= n;
-        }
-        Ok(self.out.len() - before)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn write_to_survives_partial_vectored_writes(
-        segments in proptest::collection::vec((any::<bool>(), 0usize..300, any::<u8>()), 0..8),
-        caps in proptest::collection::vec(1usize..200, 1..6),
-    ) {
-        let mut buf = FrameBuf::new();
-        for &(shared, len, fill) in &segments {
-            if shared {
-                buf.put_payload(&Payload::from(vec![fill; len]));
-            } else {
-                buf.put_bytes(&vec![fill; len]);
-            }
-        }
-        let mut w = Trickle { out: Vec::new(), caps: &caps, calls: 0 };
-        buf.write_to(FrameKind::App, &mut w).unwrap();
-        prop_assert_eq!(w.out, buf.to_frame_bytes(FrameKind::App));
-    }
-}
-
-#[test]
-fn write_to_is_one_call_on_a_willing_writer_and_fails_on_a_full_one() {
-    struct Count(usize);
-    impl Write for Count {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0 += 1;
-            Ok(buf.len())
-        }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-            self.0 += 1;
-            Ok(bufs.iter().map(|b| b.len()).sum())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-    let mut buf = FrameBuf::new();
-    buf.put_u64(1);
-    buf.put_payload(&Payload::from(vec![2u8; 1024]));
-    buf.put_u32(3);
-    let mut w = Count(0);
-    buf.write_to(FrameKind::App, &mut w).unwrap();
-    assert_eq!(
-        w.0, 1,
-        "header + three segments leave in one gathered write"
-    );
-
-    let mut full: &mut [u8] = &mut [0u8; 4];
-    let err = buf.write_to(FrameKind::App, &mut full).unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::WriteZero);
 }

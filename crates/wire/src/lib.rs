@@ -48,7 +48,7 @@ impl Codec<Msg> for MsgCodec {
 /// Encodes `msg` as one complete `App` frame (header + body).
 ///
 /// Flattens the zero-copy segments into one buffer — use
-/// [`encode_msg`] + [`FrameBuf::write_to`] on the hot path; this is for
+/// [`encode_msg`] + [`FrameBuf::append_to`] on the hot path; this is for
 /// tests and tools.
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
     let mut body = FrameBuf::new();
