@@ -210,8 +210,6 @@ pub struct ConstItem {
     pub ty: TypeStr,
     /// The initializer expression, when present.
     pub value: Option<Expr>,
-    /// For integer-literal initializers, the literal's text.
-    pub int_value: Option<u64>,
 }
 
 /// A `{ ... }` block with its statements.

@@ -2,10 +2,9 @@
 //!
 //! Built once per lint run from every parsed file, the index answers
 //! the cross-crate questions the per-file rules cannot: which struct
-//! fields are `Mutex`/`RwLock`-typed (lock-order), which enum defines
-//! the wire protocol and which consts carry its tags (protocol-drift),
-//! and which names are `Payload`-typed anywhere in a crate
-//! (zero-copy). It deliberately indexes *declarations* only — uses are
+//! fields are `Mutex`/`RwLock`-typed (lock-order), which variants the
+//! `Msg` enum has (protocol-drift), and which names are
+//! `Payload`-typed anywhere in a crate (zero-copy). It deliberately indexes *declarations* only — uses are
 //! the passes' job.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,34 +45,13 @@ pub struct LockDecl {
     pub kind: LockKind,
 }
 
-/// An enum definition.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Declaring file.
-    pub file: String,
-    /// Line of the `enum` keyword.
-    pub line: u32,
-    /// Variant names with their lines.
-    pub variants: Vec<(String, u32)>,
-}
-
-/// An integer const (e.g. a wire tag).
-#[derive(Debug, Clone)]
-pub struct IntConst {
-    /// Its value, when the initializer was a single integer literal.
-    pub value: Option<u64>,
-    /// Declaring file.
-    pub file: String,
-    /// Declaration line.
-    pub line: u32,
-}
-
 /// The cross-file symbol index.
 #[derive(Debug, Default)]
 pub struct WorkspaceIndex {
-    /// Enum name → definition. Last definition wins on duplicates
-    /// (fixtures shadowing the live `Msg` never share a run with it).
-    pub enums: BTreeMap<String, EnumDef>,
+    /// Enum name → its variant names. Last definition wins on
+    /// duplicates (fixtures shadowing the live `Msg` never share a run
+    /// with it).
+    pub enums: BTreeMap<String, Vec<String>>,
     /// `field name` → lock declarations with that field name (used to
     /// resolve `other.field.lock()` when the receiver's type is
     /// unknown).
@@ -85,8 +63,6 @@ pub struct WorkspaceIndex {
     /// `crate::lib`'s `crate_of`); the zero-copy pass unions the
     /// crate-local set with declared params/lets it walks itself.
     pub payload_fields: BTreeMap<String, BTreeSet<String>>,
-    /// Integer consts, by name.
-    pub int_consts: BTreeMap<String, IntConst>,
 }
 
 impl WorkspaceIndex {
@@ -94,7 +70,7 @@ impl WorkspaceIndex {
     pub fn build(files: &[PassFile<'_>]) -> WorkspaceIndex {
         let mut ix = WorkspaceIndex::default();
         for f in files {
-            let (crate_key, rel) = (crate::crate_of(f.rel), f.rel.to_string());
+            let crate_key = crate::crate_of(f.rel);
             walk_items(&f.tree.items, &ItemCtx::default(), &mut |ctx, item| {
                 if ctx.in_test_mod {
                     return;
@@ -121,15 +97,7 @@ impl WorkspaceIndex {
                     Item::Enum(e) => {
                         ix.enums.insert(
                             e.name.clone(),
-                            EnumDef {
-                                file: rel.clone(),
-                                line: e.line,
-                                variants: e
-                                    .variants
-                                    .iter()
-                                    .map(|v| (v.name.clone(), v.line))
-                                    .collect(),
-                            },
+                            e.variants.iter().map(|v| v.name.clone()).collect(),
                         );
                         for v in &e.variants {
                             for f in &v.fields {
@@ -142,24 +110,14 @@ impl WorkspaceIndex {
                             }
                         }
                     }
-                    Item::Const(c) => {
-                        if c.is_static {
-                            if let Some(kind) = LockKind::of(&c.ty) {
-                                let decl = LockDecl {
-                                    id: c.name.clone(),
-                                    kind,
-                                };
-                                ix.lock_ids.insert(decl.id.clone(), decl);
-                            }
+                    Item::Const(c) if c.is_static => {
+                        if let Some(kind) = LockKind::of(&c.ty) {
+                            let decl = LockDecl {
+                                id: c.name.clone(),
+                                kind,
+                            };
+                            ix.lock_ids.insert(decl.id.clone(), decl);
                         }
-                        ix.int_consts.insert(
-                            c.name.clone(),
-                            IntConst {
-                                value: c.int_value,
-                                file: rel.clone(),
-                                line: c.line,
-                            },
-                        );
                     }
                     _ => {}
                 }
@@ -201,8 +159,6 @@ mod tests {
                 body: Payload,
             }
             pub enum Msg { Request { body: Payload }, Heartbeat }
-            pub const MSG_REQUEST: u8 = 0;
-            pub const MSG_HEARTBEAT: u8 = 1;
             static REGISTRY: Mutex<u32> = Mutex::new(0);
             #[cfg(test)]
             mod tests {
@@ -214,8 +170,7 @@ mod tests {
         assert_eq!(ix.lock_ids["Hub::regions"].kind, LockKind::RwLock);
         assert!(ix.lock_ids.contains_key("REGISTRY"));
         assert!(!ix.lock_ids.contains_key("Hidden::l"), "test mods excluded");
-        assert_eq!(ix.enums["Msg"].variants.len(), 2);
-        assert_eq!(ix.int_consts["MSG_HEARTBEAT"].value, Some(1));
+        assert_eq!(ix.enums["Msg"], ["Request", "Heartbeat"]);
         let pf = ix.payload_fields_of("crates/x").expect("payload fields");
         assert!(pf.contains("body"));
     }

@@ -11,8 +11,9 @@
 //!   `Ordering::Relaxed` is justified in an allowlist, hash tables are
 //!   not iterated where ordering feeds protocol decisions, and every
 //!   shared protocol step names its TLA+ action; three workspace
-//!   passes ([`passes`], over the [`index`]) check lock order, `Msg` ↔
-//!   wire-tag ↔ dispatch agreement, and `Payload` deep copies. A file
+//!   passes ([`passes`], over the [`index`]) check lock order, that no
+//!   dispatch over `Msg` hides variants behind a wildcard, and
+//!   `Payload` deep copies. A file
 //!   that does not parse aborts the run ([`LintError::Parse`]) — there
 //!   is one engine and no fallback.
 //! - **loom models** (`tests/loom.rs`, compiled under

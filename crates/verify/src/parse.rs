@@ -916,12 +916,8 @@ impl<'a> P<'a> {
             TypeStr::default()
         };
         let mut value = None;
-        let mut int_value = None;
         if self.punct(0, '=') {
             self.bump();
-            if let Some(text) = self.literal(0) {
-                int_value = parse_int_literal(text);
-            }
             value = Some(self.parse_expr(Stops::of(&[';']), false));
         }
         if self.punct(0, ';') {
@@ -933,7 +929,6 @@ impl<'a> P<'a> {
             is_static,
             ty,
             value,
-            int_value,
         })
     }
 
@@ -1844,29 +1839,6 @@ fn pat_info(toks: &[&TokenKind], line: u32) -> PatInfo {
     }
 }
 
-/// Parses an integer literal's value (decimal/hex/octal/binary,
-/// underscores and type suffixes tolerated).
-pub fn parse_int_literal(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    let (digits, radix) = if let Some(h) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        (h, 16)
-    } else if let Some(o) = t.strip_prefix("0o") {
-        (o, 8)
-    } else if let Some(b) = t.strip_prefix("0b") {
-        (b, 2)
-    } else {
-        (t.as_str(), 10)
-    };
-    // Strip a type suffix (`u8`, `usize`, …).
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    u64::from_str_radix(&digits[..end], radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2059,16 +2031,6 @@ mod tests {
         assert!(!f.errors.is_empty());
         let f = parse_src("fn f() { } }");
         assert!(!f.errors.is_empty());
-    }
-
-    #[test]
-    fn int_literals() {
-        assert_eq!(parse_int_literal("0"), Some(0));
-        assert_eq!(parse_int_literal("22"), Some(22));
-        assert_eq!(parse_int_literal("0x52494E47"), Some(0x52494E47));
-        assert_eq!(parse_int_literal("64u8"), Some(64));
-        assert_eq!(parse_int_literal("1_000"), Some(1000));
-        assert_eq!(parse_int_literal("abc"), None);
     }
 
     #[test]

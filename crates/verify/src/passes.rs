@@ -2,8 +2,8 @@
 //! and payload-copy.
 //!
 //! Unlike the per-file rules ([`crate::rules`]), these reason *across* files — the lock
-//! graph spans crates, the `Msg` enum and its wire tags live in
-//! different crates than the `match`es that consume them — so the
+//! graph spans crates, the `Msg` enum lives in a different crate than
+//! the `match`es that consume it — so the
 //! whole file set is analyzed in one call, over the parse trees and
 //! the [`WorkspaceIndex`].
 //!
@@ -310,170 +310,54 @@ fn payload_root<'e>(e: &'e Expr, names: &BTreeSet<String>) -> Option<&'e str> {
 // protocol-drift
 // ---------------------------------------------------------------------
 
-/// Cross-checks the three places the wire protocol is spelled out:
-/// the `Msg` enum, the `MSG_*` tag consts, and every `match` that
-/// dispatches on either. Findings:
+/// Flags a `match` over `Msg` that hides variants behind a wildcard
+/// arm: a new message type must fail loudly at every dispatch, not
+/// vanish into `_`. Only dispatch-shaped matches count, i.e. ones that
+/// already enumerate two or more variants; a single-variant accessor
+/// (`match m { Msg::X { .. } => …, _ => None }`) is `if let` in match
+/// clothing and exempt.
 ///
-/// - a `Msg` variant with no `MSG_<SCREAMING_SNAKE>` tag const,
-/// - a `MSG_*` const naming no variant,
-/// - two tag consts sharing a value,
-/// - a `match` over `Msg` with a wildcard arm silently absorbing
-///   variants (a new message type must fail loudly, not vanish),
-/// - a decode `match` over `MSG_*` consts missing known tags (a
-///   wildcard error arm is expected, but it only gets *unknown* tags).
+/// The wire codec needs no check here: `ring-wire` expands its encoder
+/// and decoder from one table, so a variant without a tag, a duplicate
+/// tag or a partial decoder is a build error.
 fn protocol_drift(files: &[PassFile<'_>], ix: &WorkspaceIndex, em: &mut Emitter<'_, '_>) {
     let Some(msg) = ix.enums.get("Msg") else {
         return;
     };
-    let tags: BTreeMap<&str, &crate::index::IntConst> = ix
-        .int_consts
-        .iter()
-        .filter(|(name, _)| name.starts_with("MSG_"))
-        .map(|(name, c)| (name.as_str(), c))
-        .collect();
-    if tags.is_empty() {
-        return;
-    }
-    let file_of = |path: &str| files.iter().position(|f| f.rel == path);
-
-    // Variant <-> tag-const correspondence.
-    let expected: BTreeMap<String, &str> = msg
-        .variants
-        .iter()
-        .map(|(v, _)| (format!("MSG_{}", screaming_snake(v)), v.as_str()))
-        .collect();
-    if let Some(fi) = file_of(&msg.file) {
-        for (v, line) in &msg.variants {
-            let tag = format!("MSG_{}", screaming_snake(v));
-            if !tags.contains_key(tag.as_str()) {
-                em.emit(
-                    fi,
-                    *line,
-                    PROTOCOL_DRIFT,
-                    format!("`Msg::{v}` has no wire tag const `{tag}`; add it to the tag table"),
-                );
+    let all_variants: BTreeSet<&str> = msg.iter().map(String::as_str).collect();
+    for (file_idx, f) in files.iter().enumerate() {
+        for_each_match(f.tree, &mut |m| {
+            let mut covered: BTreeSet<&str> = BTreeSet::new();
+            let mut wildcard = false;
+            for pat in m.arms.iter().flat_map(|arm| &arm.pats) {
+                let path = &pat.path;
+                if pat.is_wildcard {
+                    wildcard = true;
+                } else if path.len() >= 2 && path[path.len() - 2] == "Msg" {
+                    covered.insert(path.last().expect("len>=2").as_str());
+                } else {
+                    return; // Mixed match; not a protocol dispatch.
+                }
             }
-        }
-    }
-    let mut by_value: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-    for (name, c) in &tags {
-        if let Some(fi) = file_of(&c.file) {
-            if !expected.contains_key(*name) {
+            if covered.len() < 2 || !wildcard {
+                return;
+            }
+            let missing: Vec<&str> = all_variants.difference(&covered).copied().collect();
+            if !missing.is_empty() {
                 em.emit(
-                    fi,
-                    c.line,
+                    file_idx,
+                    m.line,
                     PROTOCOL_DRIFT,
                     format!(
-                        "wire tag `{name}` names no `Msg` variant; dead tag or renamed message"
+                        "match over `Msg` hides {} variant(s) behind a wildcard arm \
+                         ({}); enumerate them so a new message type fails loudly here",
+                        missing.len(),
+                        missing.join(", "),
                     ),
                 );
             }
-        }
-        if let Some(v) = c.value {
-            by_value.entry(v).or_default().push(name);
-        }
-    }
-    for (value, names) in &by_value {
-        if names.len() > 1 {
-            for name in &names[1..] {
-                let c = tags[*name];
-                if let Some(fi) = file_of(&c.file) {
-                    em.emit(
-                        fi,
-                        c.line,
-                        PROTOCOL_DRIFT,
-                        format!(
-                            "wire tag `{name}` reuses value {value} (also `{}`); \
-                             tags must be unique on the wire",
-                            names[0]
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // Match coverage: engine matches over `Msg`, decode matches over
-    // `MSG_*` consts.
-    let all_variants: BTreeSet<&str> = msg.variants.iter().map(|(v, _)| v.as_str()).collect();
-    let all_tags: BTreeSet<&str> = tags.keys().copied().collect();
-    for (file_idx, f) in files.iter().enumerate() {
-        for_each_match(f.tree, &mut |m| {
-            let mut covered_variants: BTreeSet<&str> = BTreeSet::new();
-            let mut covered_tags: BTreeSet<&str> = BTreeSet::new();
-            let mut wildcard = false;
-            let mut other_pats = false;
-            for arm in &m.arms {
-                for pat in &arm.pats {
-                    let path = &pat.path;
-                    if pat.is_wildcard {
-                        wildcard = true;
-                    } else if path.len() >= 2 && path[path.len() - 2] == "Msg" {
-                        covered_variants.insert(path.last().expect("len>=2").as_str());
-                    } else if path.last().is_some_and(|s| s.starts_with("MSG_")) {
-                        covered_tags.insert(path.last().expect("non-empty").as_str());
-                    } else {
-                        other_pats = true;
-                    }
-                }
-            }
-            if other_pats {
-                return; // Mixed match; not a protocol dispatch.
-            }
-            // Single-variant accessors (`match m { Msg::X {..} => …,
-            // _ => None }`) are `if let` in match clothing — exempt.
-            // A wildcard is only drift once the match is
-            // dispatch-shaped, i.e. already enumerates >= 2 variants.
-            if covered_variants.len() >= 2 && wildcard {
-                let missing: Vec<&str> = all_variants
-                    .difference(&covered_variants)
-                    .copied()
-                    .collect();
-                if !missing.is_empty() {
-                    em.emit(
-                        file_idx,
-                        m.line,
-                        PROTOCOL_DRIFT,
-                        format!(
-                            "match over `Msg` hides {} variant(s) behind a wildcard arm \
-                             ({}); enumerate them so a new message type fails loudly here",
-                            missing.len(),
-                            missing.join(", "),
-                        ),
-                    );
-                }
-            }
-            if !covered_tags.is_empty() {
-                let missing: Vec<&str> = all_tags.difference(&covered_tags).copied().collect();
-                if !missing.is_empty() {
-                    em.emit(
-                        file_idx,
-                        m.line,
-                        PROTOCOL_DRIFT,
-                        format!(
-                            "decode match handles {}/{} wire tags; missing: {} — an \
-                             unhandled known tag decodes as garbage",
-                            covered_tags.len(),
-                            all_tags.len(),
-                            missing.join(", "),
-                        ),
-                    );
-                }
-            }
         });
     }
-}
-
-/// `CamelCase2` → `CAMEL_CASE2`.
-fn screaming_snake(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() && i > 0 {
-            out.push('_');
-        }
-        out.push(c.to_ascii_uppercase());
-    }
-    out
 }
 
 /// Calls `f` on every match expression in the file, production code

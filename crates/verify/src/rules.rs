@@ -35,8 +35,10 @@ pub const HASHMAP_ITERATION: &str = "hashmap-iteration";
 pub const MODEL_DRIFT: &str = "model-drift";
 /// Rule id: a cycle in the cross-crate lock-acquisition graph.
 pub const LOCK_ORDER: &str = "lock-order";
-/// Rule id: the `Msg` enum, the wire tag consts, and the
-/// transport/engine `match`es disagree about the protocol.
+/// Rule id: a `match` over the `Msg` enum hides variants behind a
+/// wildcard arm. Wire tags need no rule: `ring-wire` expands its
+/// encoder and decoder from one table, so the build rejects a variant
+/// without a tag, a duplicate tag or a partial decoder.
 pub const PROTOCOL_DRIFT: &str = "protocol-drift";
 /// Rule id: a deep copy of a zero-copy `Payload` on a hot path.
 pub const PAYLOAD_COPY: &str = "payload-copy";

@@ -1,26 +1,16 @@
-// Fixture: protocol-drift positive — the enum, the tag table, and the
-// matches disagree in every way the pass detects.
+// Fixture: protocol-drift positive — a dispatch over `Msg` hides a
+// variant behind a wildcard arm. No tag consts exist anywhere in the
+// run: the pass keys on the enum alone.
 pub enum Msg {
     Put { key: u64 },
     Get { key: u64 },
     Ack,
 }
 
-pub const MSG_PUT: u8 = 1;
-pub const MSG_GET: u8 = 2;
-pub const MSG_EVICT: u8 = 2;
-
 pub fn dispatch(m: &Msg) {
     match m {
         Msg::Put { .. } => {}
         Msg::Get { .. } => {}
-        _ => {}
-    }
-}
-
-pub fn decode(tag: u8) {
-    match tag {
-        MSG_PUT => {}
         _ => {}
     }
 }

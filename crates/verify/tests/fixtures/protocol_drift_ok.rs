@@ -1,13 +1,10 @@
-// Fixture: protocol-drift negative — enum, tag table, and matches all
-// agree; a single-variant accessor with a wildcard arm is
-// if-let-shaped and exempt from the wildcard finding.
+// Fixture: protocol-drift negative — the dispatch enumerates every
+// variant; a single-variant accessor with a wildcard arm is
+// if-let-shaped and exempt, as is a match over something else.
 pub enum Msg {
     Put { key: u64 },
     Get { key: u64 },
 }
-
-pub const MSG_PUT: u8 = 1;
-pub const MSG_GET: u8 = 2;
 
 pub fn dispatch(m: &Msg) {
     match m {
@@ -25,8 +22,8 @@ pub fn key_of(m: &Msg) -> Option<u64> {
 
 pub fn decode(tag: u8) {
     match tag {
-        MSG_PUT => {}
-        MSG_GET => {}
+        1 => {}
+        2 => {}
         _ => {}
     }
 }

@@ -10,7 +10,7 @@
 //!   appended to the [`FrameBuf`] as shared segments: encoding a 1 MiB
 //!   put clones an `Arc`, never the megabyte.
 //! - **Panic-free decode.** Every field read is bounds-checked through
-//!   [`WireReader`](ring_net::WireReader); truncated, oversized, or bad-version input returns
+//!   [`WireReader`]; truncated, oversized, or bad-version input returns
 //!   [`NetError::BadFrame`], never panics. Trailing bytes after a
 //!   message are rejected too.
 //! - **Versioned framing.** The frame header carries the protocol
@@ -19,17 +19,30 @@
 //! All integers are little-endian and fixed-width: `u8` tags, `u32`
 //! lengths/ids, `u64` keys/versions/addresses (`usize` fields travel as
 //! `u64`).
+//!
+//! The format is written once. `field.rs` says how each wire type
+//! travels (integers, a strict 0/1 `bool`, length-prefixed payloads and
+//! strings, flagged options, counted vecs, pairs, boxes); `table.rs`
+//! lists every message and record as one row, its tag and its fields in
+//! wire order, and expands each row into both the encoder and the
+//! decoder.
+//!
+//! **Adding a message:** add the variant to `Msg` in `ring_kvs::proto`
+//! and one row to the `Msg` table with the next unused tag (24). Tags
+//! are append-only: never renumber or reuse one, and 17 and 18 are
+//! retired. A new variant without a row, a row missing a field, or a tag
+//! used twice fails the build. A change to an existing row changes the
+//! bytes on the wire: it needs a `FRAME_VERSION` bump and new golden
+//! frames (`tests/golden.rs`).
 
-mod dec;
-mod enc;
-mod tags;
+mod field;
+mod table;
 
 use ring_kvs::proto::Msg;
 use ring_net::frame::{pack_header, parse_header, FrameKind, FRAME_HEADER_LEN};
-use ring_net::{Codec, FrameBuf, NetError};
+use ring_net::{Codec, FrameBuf, NetError, WireReader};
 
-pub use dec::decode_msg;
-pub use enc::encode_msg;
+use crate::field::Field;
 
 /// The Ring protocol's [`Codec`], injected into `TcpTransport`.
 #[derive(Debug, Default, Clone, Copy)]
@@ -86,6 +99,24 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Msg, NetError> {
         )));
     }
     decode_msg(body)
+}
+
+/// Encodes one protocol message into a frame body.
+pub fn encode_msg(msg: &Msg, out: &mut FrameBuf) {
+    msg.put(out);
+}
+
+/// Decodes one frame body back into a protocol message.
+///
+/// # Errors
+///
+/// [`NetError::BadFrame`] on any truncated field, unknown tag,
+/// malformed string, or trailing bytes.
+pub fn decode_msg(body: &[u8]) -> Result<Msg, NetError> {
+    let mut r = WireReader::new(body);
+    let msg = Msg::get(&mut r)?;
+    r.finish()?;
+    Ok(msg)
 }
 
 /// Re-packs a frame's header (test helper for version/kind tampering).
