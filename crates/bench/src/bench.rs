@@ -1,9 +1,9 @@
 //! The `bench` subcommand, the performance baseline: GF kernel
 //! throughput, the parity-delta vs re-encode ablation, one fabric and
-//! one loopback-TCP hop, the metadata table's per-call cost, end-to-end
-//! put/get latency and pipelined put throughput per scheme,
-//! degraded-read tail latency and the same ops over real `ring-server`
-//! processes.
+//! one loopback-TCP hop, one fabric send, the metadata table's per-call
+//! cost, end-to-end put/get latency and pipelined put throughput per
+//! scheme, degraded-read tail latency and the same ops over real
+//! `ring-server` processes.
 //!
 //! Writes `BENCH_ring.json` at the repo root (committed, so regressions
 //! are visible in review) and can audit a fresh run against a committed
@@ -25,7 +25,8 @@
 //!   Also guards this run's own `tail_latency` section: the rows must
 //!   exist and p999 at Δ=1 must not exceed p999 at Δ=0; and its own
 //!   `fabric_hop` row: what the host adds to a hop (`rdma_us −
-//!   instant_us`) may not exceed 25 µs; and its own `meta_table` row:
+//!   instant_us`) may not exceed 25 µs; its own `fabric_send` row: one
+//!   fabric send may not exceed 300 ns; and its own `meta_table` row:
 //!   no metadata-table call at 100 k keys may exceed 500 ns. The
 //!   `tcp_hop` and `parity_update` rows are recorded, not guarded.
 
@@ -63,6 +64,15 @@ const MAX_REGRESSION: f64 = 3.0;
 /// ~70 µs here; one that polls its mailbox, 2–3 µs.
 const MAX_HOP_OVERHEAD_US: f64 = 25.0;
 
+/// Most one `Endpoint::send` may cost in the `fabric_send` row before
+/// `--check` fails the run. On a 2-vCPU shared host a send costs
+/// 110–150 ns; one that issues a `FUTEX_WAKE` nobody waits for and
+/// reads three fabric-wide `RwLock`s costs 360–490 ns.
+const MAX_SEND_NS: f64 = 300.0;
+
+/// Messages queued per `fabric_send` batch before the receiver drains.
+const SEND_BATCH: usize = 64;
+
 /// Keys in the `meta_table` row's table.
 const META_KEYS: usize = 100_000;
 
@@ -81,6 +91,14 @@ struct FabricHop {
     rdma_us: f64,
     /// Under `LatencyModel::instant()`: due when pushed.
     instant_us: f64,
+}
+
+/// Cost of one `Endpoint::send` of a 16-byte message to an endpoint
+/// whose receiver is not parked, with at most [`SEND_BATCH`] queued:
+/// the sender's side of a hop, no wake-up and no receive.
+#[derive(Serialize)]
+struct FabricSend {
+    ns: f64,
 }
 
 /// One-way latency of a 1 KiB message between two in-process
@@ -161,6 +179,7 @@ struct Report {
     /// `reencode` re-encodes the stripe. MB/s counts object bytes.
     parity_update: Vec<GfRow>,
     fabric_hop: FabricHop,
+    fabric_send: FabricSend,
     tcp_hop: TcpHop,
     meta_table: MetaTableRow,
     e2e: Vec<E2eRow>,
@@ -311,6 +330,42 @@ fn run_fabric_hop(quick: bool) -> FabricHop {
         rdma_us: hop_us(LatencyModel::rdma(), round_trips),
         instant_us: hop_us(LatencyModel::instant(), round_trips),
     }
+}
+
+/// Median per-send ns over batches of [`SEND_BATCH`] sends from one
+/// thread to an endpoint nobody receives on, drained between batches.
+fn run_fabric_send(quick: bool) -> FabricSend {
+    let batches = if quick { 2_000 } else { 20_000 };
+    let fabric: Fabric<Ping> = Fabric::new(LatencyModel::instant());
+    let a = fabric.register(0).expect("fresh fabric");
+    let b = fabric.register(1).expect("fresh fabric");
+    let mut samples = Vec::with_capacity(batches);
+    for _ in 0..batches {
+        let batch: Vec<Ping> = (0..SEND_BATCH).map(|_| Ping(vec![7; 16])).collect();
+        let t0 = Instant::now();
+        for msg in batch {
+            a.send(1, msg).expect("a is open");
+        }
+        samples.push(t0.elapsed().as_nanos() as f64 / SEND_BATCH as f64);
+        while b.try_recv().expect("b is open").is_some() {}
+    }
+    samples.sort_by(f64::total_cmp);
+    FabricSend {
+        ns: samples[samples.len() / 2],
+    }
+}
+
+/// Guards the fabric-send row: a send may cost at most
+/// [`MAX_SEND_NS`].
+fn check_fabric_send(row: &FabricSend) -> Vec<String> {
+    if row.ns <= MAX_SEND_NS {
+        return Vec::new();
+    }
+    vec![format!(
+        "fabric_send: one send costs {:.0}ns (limit {MAX_SEND_NS}ns) — a send to a \
+         receiver that is not parked is making a wake-up call or reading shared fabric locks",
+        row.ns
+    )]
 }
 
 /// One loopback hop between two `TcpTransport`s in this process.
@@ -705,6 +760,11 @@ pub fn run(args: &Args) -> i32 {
         "Fabric hop (1 KiB ping-pong, one way): rdma {:.1}us  instant {:.1}us",
         fabric_hop.rdma_us, fabric_hop.instant_us
     );
+    let fabric_send = run_fabric_send(quick);
+    println!(
+        "Fabric send (16 B, receiver not parked, <= {SEND_BATCH} queued): {:.0}ns",
+        fabric_send.ns
+    );
     let tcp_hop = run_tcp_hop(quick);
     println!(
         "TCP hop (1 KiB ping-pong over loopback, one way): {:.1}us",
@@ -729,6 +789,7 @@ pub fn run(args: &Args) -> i32 {
         gf,
         parity_update,
         fabric_hop,
+        fabric_send,
         tcp_hop,
         meta_table,
         e2e,
@@ -748,6 +809,7 @@ pub fn run(args: &Args) -> i32 {
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("bad baseline JSON: {e}"));
     let mut problems = check_against(&baseline, &report.gf);
     problems.extend(check_fabric_hop(&report.fabric_hop));
+    problems.extend(check_fabric_send(&report.fabric_send));
     problems.extend(check_meta_table(&report.meta_table));
     problems.extend(check_tail(&report.tail_latency));
     if problems.is_empty() {

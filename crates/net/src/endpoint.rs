@@ -4,12 +4,20 @@
 //! `Mailbox::recv` — the one receive path both backends share, which
 //! polls while hot and then parks (see `mailbox.rs`) — and count the
 //! message it returns.
+//!
+//! Sending reads the endpoint's own `Routes`, a copy of the fabric's
+//! node, link and injector tables rebuilt only when the fabric's
+//! generation moves, so a send touches no lock another thread writes
+//! except the receiver's heap lock.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::Mutex;
+
 use crate::fabric::{FabricInner, NodeSlot};
-use crate::fault::FaultAction;
+use crate::fault::{FaultAction, FaultInjector};
 use crate::{NetError, NetStats, NodeId, Transport, WireSize};
 
 /// A registered node's endpoint: two-sided messaging.
@@ -17,6 +25,46 @@ pub struct Endpoint<M> {
     id: NodeId,
     slot: Arc<NodeSlot<M>>,
     fabric: Arc<FabricInner<M>>,
+    /// Locked only by this endpoint's own sends.
+    routes: Mutex<Routes<M>>,
+}
+
+/// What a send needs from the fabric, as of one fabric generation.
+struct Routes<M> {
+    generation: u64,
+    /// Every registered peer by id, `None` where the link to it is cut.
+    /// A peer not listed is dead or was never registered.
+    peers: Vec<(NodeId, Option<Arc<NodeSlot<M>>>)>,
+    injector: Option<Arc<dyn FaultInjector>>,
+}
+
+impl<M> Routes<M> {
+    /// Copies the fabric's tables. The current generation is loaded
+    /// before the tables are read, so a change racing the copy leaves
+    /// the copy stale and the next send rebuilds it.
+    fn build(id: NodeId, fabric: &FabricInner<M>) -> Routes<M> {
+        let generation = fabric.generation.load(Ordering::Acquire);
+        let peers = fabric
+            .nodes
+            .read()
+            .iter()
+            .map(|(&peer, slot)| (peer, fabric.link_up(id, peer).then(|| Arc::clone(slot))))
+            .collect();
+        Routes {
+            generation,
+            peers,
+            injector: fabric.injector.read().clone(),
+        }
+    }
+
+    /// The live slot `to` is reached through, if the link is up.
+    fn route(&self, to: NodeId) -> Option<&NodeSlot<M>> {
+        let i = self
+            .peers
+            .binary_search_by_key(&to, |&(peer, _)| peer)
+            .ok()?;
+        self.peers[i].1.as_deref()
+    }
 }
 
 impl<M> std::fmt::Debug for Endpoint<M> {
@@ -31,7 +79,13 @@ impl<M: Send + WireSize> Endpoint<M> {
         slot: Arc<NodeSlot<M>>,
         fabric: Arc<FabricInner<M>>,
     ) -> Endpoint<M> {
-        Endpoint { id, slot, fabric }
+        let routes = Mutex::new(Routes::build(id, &fabric));
+        Endpoint {
+            id,
+            slot,
+            fabric,
+            routes,
+        }
     }
 
     /// This endpoint's node id.
@@ -111,13 +165,14 @@ impl<M: Send + WireSize + Clone> Endpoint<M> {
         }
         let bytes = msg.wire_size();
         self.slot.stats.record_send(bytes);
-        if !self.fabric.link_up(self.id, to) {
-            return Ok(()); // Dropped on the floor.
+        let mut routes = self.routes.lock();
+        if routes.generation != self.fabric.generation.load(Ordering::Acquire) {
+            *routes = Routes::build(self.id, &self.fabric);
         }
-        let Some(slot) = self.fabric.slot(to) else {
-            return Ok(()); // Dead node: dropped.
+        let Some(slot) = routes.route(to) else {
+            return Ok(()); // Dead node or cut link: dropped on the floor.
         };
-        let action = match self.fabric.injector.read().as_ref() {
+        let action = match &routes.injector {
             Some(injector) => injector.on_message(self.id, to, bytes),
             None => FaultAction::Deliver,
         };
@@ -261,6 +316,43 @@ mod tests {
         a.send(1, Msg(vec![9])).unwrap();
         assert_eq!(b.recv().unwrap(), (0, Msg(vec![9])));
         assert!(b.slot.mailbox.is_hot());
+    }
+
+    #[test]
+    fn sends_to_a_polling_receiver_make_no_wake_up_call() {
+        const N: u32 = 1_000;
+        let (_f, a, b) = hot_pair();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Polls, never parks: no send has anyone to wake.
+                let mut got = 0;
+                while got < N {
+                    match b.try_recv().unwrap() {
+                        Some(_) => got += 1,
+                        None => std::thread::yield_now(),
+                    }
+                }
+            });
+            for i in 0..N {
+                a.send(1, Msg(vec![i as u8])).unwrap();
+            }
+        });
+        assert_eq!(b.stats().snapshot().msgs_received, u64::from(N) + 1);
+        assert_eq!(b.slot.mailbox.notifies(), 0);
+    }
+
+    #[test]
+    fn a_send_to_a_parked_receiver_wakes_it() {
+        let (_f, a, b) = pair();
+        std::thread::scope(|s| {
+            let rx = s.spawn(|| b.recv_timeout(Duration::from_secs(5)));
+            while !b.slot.mailbox.has_sleeper() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            a.send(1, Msg(vec![3])).unwrap();
+            assert_eq!(rx.join().unwrap().unwrap(), (0, Msg(vec![3])));
+        });
+        assert_eq!(b.slot.mailbox.notifies(), 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The fabric: node registry, delivery, failure injection.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -20,6 +21,10 @@ pub(crate) struct FabricInner<M> {
     pub(crate) nodes: RwLock<BTreeMap<NodeId, Arc<NodeSlot<M>>>>,
     pub(crate) down_links: RwLock<HashSet<(NodeId, NodeId)>>,
     pub(crate) injector: RwLock<Option<Arc<dyn FaultInjector>>>,
+    /// Bumped (Release) after every change to `nodes`, `down_links` or
+    /// `injector`. An endpoint sends through its own copy of those
+    /// tables and rebuilds it when an Acquire load shows a new value.
+    pub(crate) generation: AtomicU64,
 }
 
 impl<M> FabricInner<M> {
@@ -30,6 +35,11 @@ impl<M> FabricInner<M> {
 
     pub(crate) fn slot(&self, id: NodeId) -> Option<Arc<NodeSlot<M>>> {
         self.nodes.read().get(&id).cloned()
+    }
+
+    /// Tells every endpoint that its route table is stale.
+    fn changed(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -57,6 +67,7 @@ impl<M: Send + WireSize> Fabric<M> {
                 nodes: RwLock::new(BTreeMap::new()),
                 down_links: RwLock::new(HashSet::new()),
                 injector: RwLock::new(None),
+                generation: AtomicU64::new(0),
             }),
         }
     }
@@ -86,6 +97,7 @@ impl<M: Send + WireSize> Fabric<M> {
         }
         nodes.insert(id, Arc::clone(&slot));
         drop(nodes);
+        self.inner.changed();
         Ok(Endpoint::new(id, slot, Arc::clone(&self.inner)))
     }
 
@@ -96,7 +108,10 @@ impl<M: Send + WireSize> Fabric<M> {
     pub fn kill(&self, id: NodeId) {
         let slot = self.inner.nodes.write().remove(&id);
         if let Some(slot) = slot {
+            // A route cached before the bump still drops: the mailbox
+            // it leads to is closed.
             slot.mailbox.close();
+            self.inner.changed();
         }
     }
 
@@ -116,23 +131,27 @@ impl<M: Send + WireSize> Fabric<M> {
     /// [`Fabric::inject`] bypasses it.
     pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
         *self.inner.injector.write() = Some(injector);
+        self.inner.changed();
     }
 
     /// Removes the installed [`FaultInjector`]; delivery returns to
     /// fault-free behaviour.
     pub fn clear_fault_injector(&self) {
         *self.inner.injector.write() = None;
+        self.inner.changed();
     }
 
     /// Cuts the (bidirectional) link between two nodes: messages over it
     /// are dropped.
     pub fn fail_link(&self, a: NodeId, b: NodeId) {
         self.inner.down_links.write().insert((a.min(b), a.max(b)));
+        self.inner.changed();
     }
 
     /// Restores a previously cut link.
     pub fn heal_link(&self, a: NodeId, b: NodeId) {
         self.inner.down_links.write().remove(&(a.min(b), a.max(b)));
+        self.inner.changed();
     }
 
     /// Ids of all live nodes, unordered.
@@ -279,6 +298,75 @@ mod tests {
         f.clear_fault_injector();
         a.send(1, 13).unwrap(); // Back to normal delivery.
         assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), (0, 13));
+    }
+
+    /// A fabric of two endpoints whose route from 0 to 1 is warm: one
+    /// message has gone over it.
+    fn warm_pair() -> (Fabric<u32>, Endpoint<u32>, Endpoint<u32>) {
+        let f: Fabric<u32> = Fabric::new(LatencyModel::instant());
+        let a = f.register(0).unwrap();
+        let b = f.register(1).unwrap();
+        a.send(1, 0).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), (0, 0));
+        (f, a, b)
+    }
+
+    #[test]
+    fn warm_route_reaches_a_spare_registered_under_a_killed_id() {
+        let (f, a, b) = warm_pair();
+        f.kill(1);
+        a.send(1, 1).unwrap(); // Dropped: 1 is dead.
+        assert_eq!(b.queued(), 0);
+        let spare = f.register(1).unwrap();
+        a.send(1, 2).unwrap();
+        assert_eq!(spare.recv_timeout(Duration::from_secs(1)).unwrap(), (0, 2));
+        assert_eq!(
+            spare.queued(),
+            0,
+            "the send to the dead node stayed dropped"
+        );
+    }
+
+    #[test]
+    fn warm_route_follows_fail_and_heal_link() {
+        let (f, a, b) = warm_pair();
+        f.fail_link(1, 0);
+        a.send(1, 1).unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(20)).unwrap_err(),
+            NetError::Timeout
+        );
+        f.heal_link(0, 1);
+        a.send(1, 2).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), (0, 2));
+    }
+
+    #[test]
+    fn warm_route_consults_a_new_injector_and_forgets_a_cleared_one() {
+        use crate::fault::{FaultAction, FaultInjector};
+
+        struct DropAll;
+        impl FaultInjector for DropAll {
+            fn on_message(&self, _f: NodeId, _t: NodeId, _b: usize) -> FaultAction {
+                FaultAction::Drop
+            }
+        }
+
+        let (f, a, b) = warm_pair();
+        f.set_fault_injector(Arc::new(DropAll));
+        a.send(1, 1).unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(20)).unwrap_err(),
+            NetError::Timeout
+        );
+        f.clear_fault_injector();
+        a.send(1, 2).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), (0, 2));
+        assert_eq!(
+            a.stats().snapshot().msgs_sent,
+            3,
+            "a dropped send still counts"
+        );
     }
 
     #[test]

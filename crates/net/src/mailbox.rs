@@ -15,10 +15,19 @@
 //! pure spin starves the sender it waits for), and so is the hot rule: a
 //! receive that times out makes the next one park at once, so idle nodes
 //! and housekeeping loops cost what a plain condvar wait costs.
+//!
+//! A push is a queue push, not a syscall: `Condvar::notify_one` enters
+//! the kernel (`FUTEX_WAKE`) even when nobody waits, and a loaded
+//! receiver is almost always polling, not parked. So the receiver counts
+//! itself as a sleeper, under the heap lock, around each condvar wait,
+//! and a push notifies only when that count is non-zero. No wake-up is
+//! lost: the receiver checks the heap and registers as a sleeper in one
+//! critical section, before the wait releases the lock (loom:
+//! `mailbox_push_to_a_parked_receiver_wakes_it`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,10 +64,19 @@ impl<M> Ord for Packet<M> {
     }
 }
 
+/// What the heap lock guards.
+struct Queue<M> {
+    heap: BinaryHeap<Packet<M>>,
+    /// Tiebreaker for packets due at the same instant: push order.
+    seq: u64,
+    /// Receivers inside a condvar wait; a push notifies only if this is
+    /// non-zero.
+    sleepers: usize,
+}
+
 pub(crate) struct Mailbox<M> {
-    heap: Mutex<BinaryHeap<Packet<M>>>,
+    queue: Mutex<Queue<M>>,
     cond: Condvar,
-    seq: AtomicU64,
     closed: AtomicBool,
     // Mirror of heap.len(), kept so stats paths (`len`) never contend on
     // the heap lock. Updated while holding the lock, read lock-free; the
@@ -68,40 +86,57 @@ pub(crate) struct Mailbox<M> {
     // next one poll before parking. A scheduling hint read and written
     // by the receiving thread: it publishes nothing.
     hot: AtomicBool,
+    /// `notify_one` calls made by pushes.
+    #[cfg(test)]
+    notifies: AtomicUsize,
 }
 
 impl<M> Mailbox<M> {
     pub(crate) fn new() -> Arc<Mailbox<M>> {
         Arc::new(Mailbox {
-            heap: Mutex::new(BinaryHeap::new()),
+            queue: Mutex::new(Queue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                sleepers: 0,
+            }),
             cond: Condvar::new(),
-            seq: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             count: AtomicUsize::new(0),
             hot: AtomicBool::new(false),
+            #[cfg(test)]
+            notifies: AtomicUsize::new(0),
         })
     }
 
+    /// Queues `msg`, due at `deliver_at`, and wakes the receiver only if
+    /// it is parked. `closed` is read under the lock, so a push racing
+    /// [`Mailbox::close`] either lands before the clear or vanishes.
     pub(crate) fn push(&self, from: NodeId, msg: M, deliver_at: Instant) {
+        let mut q = self.queue.lock();
         if self.closed.load(AtomicOrdering::Acquire) {
             return; // Messages to a dead node vanish.
         }
-        let seq = self.seq.fetch_add(1, AtomicOrdering::Relaxed);
-        let mut heap = self.heap.lock();
-        heap.push(Packet {
+        let seq = q.seq;
+        q.seq += 1;
+        q.heap.push(Packet {
             deliver_at,
             seq,
             from,
             msg,
         });
-        self.count.store(heap.len(), AtomicOrdering::Relaxed);
-        drop(heap);
-        self.cond.notify_one();
+        self.count.store(q.heap.len(), AtomicOrdering::Relaxed);
+        let parked = q.sleepers > 0;
+        drop(q);
+        if parked {
+            #[cfg(test)]
+            self.notifies.fetch_add(1, AtomicOrdering::SeqCst);
+            self.cond.notify_one();
+        }
     }
 
     pub(crate) fn close(&self) {
         self.closed.store(true, AtomicOrdering::Release);
-        self.heap.lock().clear();
+        self.queue.lock().heap.clear();
         self.count.store(0, AtomicOrdering::Relaxed);
         self.cond.notify_all();
     }
@@ -150,50 +185,50 @@ impl<M> Mailbox<M> {
         }
     }
 
-    /// The condvar wait behind [`Mailbox::recv`]: a timed
-    /// `wait_until(due)` behind a head not due yet, otherwise until the
-    /// next push, `deadline` or `close`.
+    /// The condvar wait behind [`Mailbox::recv`]: until the head is due
+    /// if there is one, and otherwise until the next push, `deadline` or
+    /// `close`.
     fn park(&self, deadline: Option<Instant>) -> Result<(NodeId, M), NetError> {
-        let mut heap = self.heap.lock();
+        let mut q = self.queue.lock();
         loop {
             if self.closed.load(AtomicOrdering::Acquire) {
                 return Err(NetError::Closed);
             }
-            let now = crate::clock::now();
-            if let Some(head) = heap.peek() {
-                if head.deliver_at <= now {
-                    let p = heap.pop().expect("peeked");
-                    self.count.store(heap.len(), AtomicOrdering::Relaxed);
-                    return Ok((p.from, p.msg));
+            let due = q.heap.peek().map(|head| head.deliver_at);
+            if due.is_some_and(|due| due <= crate::clock::now()) {
+                return Ok(self.pop(&mut q));
+            }
+            let until = match (due, deadline) {
+                (Some(due), Some(d)) => Some(due.min(d)),
+                (due, d) => due.or(d),
+            };
+            // Counted as a sleeper in the same critical section that saw
+            // nothing due, so a push after the look notifies.
+            q.sleepers += 1;
+            let timed_out = match until {
+                Some(t) => self.cond.wait_until(&mut q, t).timed_out(),
+                None => {
+                    self.cond.wait(&mut q);
+                    false
                 }
-                // Head not due yet; wait until it is (or new mail).
-                let due = head.deliver_at;
-                let wait_until = match deadline {
-                    Some(d) if d < due => d,
-                    _ => due,
-                };
-                if self.cond.wait_until(&mut heap, wait_until).timed_out()
-                    && Some(wait_until) == deadline
-                    && heap
-                        .peek()
-                        .map(|h| h.deliver_at > crate::clock::now())
-                        .unwrap_or(true)
-                {
-                    return Err(NetError::Timeout);
-                }
-            } else {
-                match deadline {
-                    Some(d) => {
-                        if self.cond.wait_until(&mut heap, d).timed_out() && heap.is_empty() {
-                            return Err(NetError::Timeout);
-                        }
-                    }
-                    None => {
-                        self.cond.wait(&mut heap);
-                    }
-                }
+            };
+            q.sleepers -= 1;
+            if timed_out
+                && until == deadline
+                && q.heap
+                    .peek()
+                    .is_none_or(|head| head.deliver_at > crate::clock::now())
+            {
+                return Err(NetError::Timeout);
             }
         }
+    }
+
+    /// Takes the head, which the caller has seen is due.
+    fn pop(&self, q: &mut Queue<M>) -> (NodeId, M) {
+        let p = q.heap.pop().expect("caller saw a head");
+        self.count.store(q.heap.len(), AtomicOrdering::Relaxed);
+        (p.from, p.msg)
     }
 
     /// Non-blocking receive: returns a due packet if one exists.
@@ -201,15 +236,11 @@ impl<M> Mailbox<M> {
         if self.closed.load(AtomicOrdering::Acquire) {
             return Err(NetError::Closed);
         }
-        let mut heap = self.heap.lock();
-        if let Some(head) = heap.peek() {
-            if head.deliver_at <= crate::clock::now() {
-                let p = heap.pop().expect("peeked");
-                self.count.store(heap.len(), AtomicOrdering::Relaxed);
-                return Ok(Some((p.from, p.msg)));
-            }
-        }
-        Ok(None)
+        let mut q = self.queue.lock();
+        let due = q.heap.peek().map(|head| head.deliver_at);
+        Ok(due
+            .is_some_and(|due| due <= crate::clock::now())
+            .then(|| self.pop(&mut q)))
     }
 
     /// Number of queued (not necessarily due) packets.
@@ -218,6 +249,19 @@ impl<M> Mailbox<M> {
     /// never contend with senders/receivers for the heap lock.
     pub(crate) fn len(&self) -> usize {
         self.count.load(AtomicOrdering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl<M> Mailbox<M> {
+    /// How many pushes have called `notify_one`.
+    pub(crate) fn notifies(&self) -> usize {
+        self.notifies.load(AtomicOrdering::SeqCst)
+    }
+
+    /// Whether a receiver is inside a condvar wait.
+    pub(crate) fn has_sleeper(&self) -> bool {
+        self.queue.lock().sleepers > 0
     }
 }
 
@@ -285,6 +329,33 @@ mod tests {
         // Pushes after close vanish.
         mb.push(1, 2u8, Instant::now());
         assert_eq!(mb.len(), 0);
+    }
+
+    #[test]
+    fn pushes_without_a_parked_receiver_make_no_wake_up_call() {
+        let mb = Mailbox::new();
+        for i in 0..10u32 {
+            mb.push(1, i, Instant::now());
+        }
+        assert_eq!(mb.try_recv().unwrap(), Some((1, 0)));
+        assert_eq!(mb.notifies(), 0);
+    }
+
+    #[test]
+    fn a_timed_out_park_leaves_no_sleeper_behind() {
+        let mb: Arc<Mailbox<u8>> = Mailbox::new();
+        mb.push(1, 0, Instant::now() + Duration::from_secs(60));
+        assert_eq!(
+            mb.recv(Some(Duration::from_millis(5))).unwrap_err(),
+            NetError::Timeout
+        );
+        assert_eq!(
+            mb.recv(Some(Duration::from_millis(5))).unwrap_err(),
+            NetError::Timeout
+        );
+        assert!(!mb.has_sleeper());
+        mb.push(1, 1, Instant::now());
+        assert_eq!(mb.notifies(), 0);
     }
 
     /// A mailbox whose previous receive returned a message, i.e. is hot.

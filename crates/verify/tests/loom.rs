@@ -18,7 +18,9 @@
 //!    (no lost wakeup) — also when a hot receiver polls before it parks
 //!    (`Mailbox::recv`, the fabric's receive): its last lock-free look may say
 //!    "empty" just before a push, so the park must re-check under the
-//!    lock before it waits.
+//!    lock before it waits. A push notifies only a receiver counted as
+//!    parked (`sleepers`, under the lock), and a push racing `close`
+//!    leaves nothing in the dead queue.
 //! 2. **Payload** (`crates/net/src/payload.rs`): one buffer shared by a
 //!    retransmit path and a dedup path is readable from both and freed
 //!    exactly once.
@@ -36,40 +38,55 @@ use loom::thread;
 use std::time::Duration;
 
 /// Miniature of `Mailbox`: FIFO queue under a Mutex, a Condvar for
-/// waiters, and a lock-free `count` mirror updated while the lock is
-/// held — exactly the production structure minus timestamps.
+/// waiters, a sleeper count under the same Mutex that gates the
+/// push's notify, and a lock-free `count` mirror updated while the
+/// lock is held — exactly the production structure minus timestamps.
 struct MiniMailbox {
-    queue: Mutex<Vec<u32>>,
+    queue: Mutex<Queue>,
     cond: Condvar,
     closed: AtomicBool,
     count: AtomicUsize,
 }
 
+/// What the Mutex guards (production: `mailbox::Queue`).
+struct Queue {
+    items: Vec<u32>,
+    /// Receivers inside `wait_timeout`.
+    sleepers: usize,
+}
+
 impl MiniMailbox {
     fn new() -> Self {
         MiniMailbox {
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(Queue {
+                items: Vec::new(),
+                sleepers: 0,
+            }),
             cond: Condvar::new(),
             closed: AtomicBool::new(false),
             count: AtomicUsize::new(0),
         }
     }
 
+    /// `closed` is read and the notify decided under the lock.
     fn push(&self, v: u32) {
+        let mut q = self.queue.lock().unwrap();
         if self.closed.load(Ordering::Acquire) {
             return;
         }
-        let mut q = self.queue.lock().unwrap();
-        q.push(v);
-        self.count.store(q.len(), Ordering::Relaxed);
+        q.items.push(v);
+        self.count.store(q.items.len(), Ordering::Relaxed);
+        let parked = q.sleepers > 0;
         drop(q);
-        self.cond.notify_one();
+        if parked {
+            self.cond.notify_one();
+        }
     }
 
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
         let mut q = self.queue.lock().unwrap();
-        q.clear();
+        q.items.clear();
         self.count.store(0, Ordering::Relaxed);
         drop(q);
         self.cond.notify_all();
@@ -83,23 +100,30 @@ impl MiniMailbox {
             if self.closed.load(Ordering::Acquire) {
                 return None;
             }
-            if !q.is_empty() {
-                let v = q.remove(0);
-                self.count.store(q.len(), Ordering::Relaxed);
+            if !q.items.is_empty() {
+                let v = q.items.remove(0);
+                self.count.store(q.items.len(), Ordering::Relaxed);
                 return Some(v);
             }
+            q.sleepers += 1;
             let (guard, timeout) = self.cond.wait_timeout(q, Duration::from_secs(5)).unwrap();
             q = guard;
-            // Every push and close notifies the one waiter, so a wait
-            // that runs out was slept through — also when the push it
-            // missed is sitting in the queue by now.
+            q.sleepers -= 1;
+            // A push or close notifies whenever the receiver is counted
+            // as a sleeper, so a wait that runs out was slept through —
+            // also when the push it missed is sitting in the queue by now.
             assert!(
                 !timeout.timed_out(),
                 "lost wakeup: receiver slept {} message(s) and closed={} out",
-                q.len(),
+                q.items.len(),
                 self.closed.load(Ordering::Acquire)
             );
         }
+    }
+
+    /// Whether a receiver is inside its wait.
+    fn has_sleeper(&self) -> bool {
+        self.queue.lock().unwrap().sleepers > 0
     }
 }
 
@@ -114,11 +138,11 @@ impl MiniMailbox {
             return Err(Closed);
         }
         let mut q = self.queue.lock().unwrap();
-        if q.is_empty() {
+        if q.items.is_empty() {
             return Ok(None);
         }
-        let v = q.remove(0);
-        self.count.store(q.len(), Ordering::Relaxed);
+        let v = q.items.remove(0);
+        self.count.store(q.items.len(), Ordering::Relaxed);
         Ok(Some(v))
     }
 
@@ -181,7 +205,7 @@ fn mailbox_poll_then_park_loses_no_wakeup() {
         assert_eq!(got, vec![1, 2, 10], "a push was lost");
 
         let q = mb.queue.lock().unwrap();
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.items.len(), 0);
         assert_eq!(mb.count.load(Ordering::Relaxed), 0, "count mirror diverged");
     });
 }
@@ -245,7 +269,7 @@ fn mailbox_len_mirror_and_no_lost_wakeup() {
 
         // Quiescent: the lock-free mirror must agree with the queue.
         let q = mb.queue.lock().unwrap();
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.items.len(), 0);
         assert_eq!(mb.count.load(Ordering::Relaxed), 0, "count mirror diverged");
     });
 }
@@ -270,6 +294,81 @@ fn mailbox_close_wakes_blocked_receiver() {
         // Must terminate: either it won the race and got nothing, or it
         // can only have returned None — never a hang, never a value.
         assert_eq!(rx.join().unwrap(), None);
+    });
+}
+
+/// Wake-gate model: the receiver is cold and already parked (counted
+/// as a sleeper) when two producers push. The first push to find it
+/// counted notifies; whichever order the pushes and the wake-up take,
+/// both messages are received and no wait runs out.
+#[test]
+fn mailbox_push_to_a_parked_receiver_wakes_it() {
+    loom::model(|| {
+        let mb = Arc::new(MiniMailbox::new());
+        let consumer = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || {
+                let a = mb.recv().expect("closed before all messages drained");
+                let b = mb.recv().expect("closed before all messages drained");
+                vec![a, b]
+            })
+        };
+        let producers: Vec<_> = (1..=2u32)
+            .map(|v| {
+                let mb = Arc::clone(&mb);
+                thread::spawn(move || {
+                    while !mb.has_sleeper() {
+                        thread::yield_now();
+                    }
+                    mb.push(v);
+                })
+            })
+            .collect();
+
+        for p in producers {
+            p.join().unwrap();
+        }
+        let mut got = consumer.join().unwrap();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2], "a push was lost");
+
+        let q = mb.queue.lock().unwrap();
+        assert_eq!(q.items.len(), 0);
+        assert_eq!(q.sleepers, 0, "a receiver left its sleeper count behind");
+        assert_eq!(mb.count.load(Ordering::Relaxed), 0, "count mirror diverged");
+    });
+}
+
+/// Close-race model (production: a send racing `Fabric::kill`): the
+/// push reads `closed` under the lock, so it lands before `close`
+/// clears the queue or not at all. At quiescence the dead queue is
+/// empty and the `count` mirror is 0 — no packet outlives the mailbox.
+#[test]
+fn mailbox_push_racing_close_leaves_nothing_behind() {
+    loom::model(|| {
+        let mb = Arc::new(MiniMailbox::new());
+        let pushers: Vec<_> = (0..2u32)
+            .map(|v| {
+                let mb = Arc::clone(&mb);
+                thread::spawn(move || mb.push(v))
+            })
+            .collect();
+        let closer = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || mb.close())
+        };
+        for p in pushers {
+            p.join().unwrap();
+        }
+        closer.join().unwrap();
+
+        let q = mb.queue.lock().unwrap();
+        assert_eq!(q.items, Vec::<u32>::new(), "a push landed after close");
+        assert_eq!(
+            mb.count.load(Ordering::Relaxed),
+            0,
+            "count mirror outlived close"
+        );
     });
 }
 
